@@ -2,7 +2,12 @@
 
 `enumerate_srings` generates the closure of cyclotomic and rank-2
 primitives under tensor and generalized wreath products, bottom-up over
-the divisor lattice.  `brute_force_enumerate` is the independent oracle:
+the divisor lattice.  The wreath step is a hash join on section keys:
+each divisor's rings are indexed once by their quotient and restriction
+sections, and only pairs whose sections agree are glued.  A product's
+canonical key is computed before validation, so `validate` runs once per
+distinct ring rather than once per construction.
+`brute_force_enumerate` is the independent oracle:
 it walks all negation-closed partitions of Z_n \\ {0} and filters by the
 axiom validator.  `census` joins a catalog with the schurity decision
 and checks the result against the arithmetic classification.
@@ -18,14 +23,14 @@ from .arith import classify, divisors
 from .construct import (
     MultiplierGroup,
     cyclotomic,
-    gen_wreath,
+    gen_wreath_classes,
     rank2,
-    tensor,
+    tensor_classes,
     units,
     witness,
 )
-from .errors import CapExceeded, IncompatibleSection, NotAnAGroup
-from .sring import SRing, validate
+from .errors import CapExceeded, SchurRingError
+from .sring import SRing, a_groups, canonical_classes, quotient, restrict, validate
 from .schurity import SchurityVerdict, is_schurian
 
 DEFAULT_CAP = 72
@@ -37,7 +42,6 @@ class Catalog:
     n: int
     rings: tuple[SRing, ...]
     count_exact: int
-    count_up_to_cayley: int
 
 
 @dataclass(frozen=True)
@@ -74,39 +78,62 @@ def _catalog_order(rings) -> list[SRing]:
     return sorted(rings, key=lambda A: (A.rank, A.classes))
 
 
-def _cayley_orbit_count(n: int, rings: list[SRing]) -> int:
-    keys = {A.key(): i for i, A in enumerate(rings)}
-    seen = set()
-    count = 0
-    for A in rings:
-        if A.key() in seen:
-            continue
-        count += 1
-        for m in units(n):
-            mapped = tuple(sorted(tuple(sorted(m * x % n for x in c)) for c in A.classes))
-            mk = (n, mapped)
-            if mk not in keys:
-                raise AssertionError("catalog not closed under multipliers")
-            seen.add(mk)
-    return count
-
-
 def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     """All S-rings over Z_n, as the closure of cyclotomic and rank-2
     primitives under tensor and generalized wreath products.
 
     Completeness at each order rests on the structure theory for
-    circulant S-rings; it is cross-checked against the brute-force
-    oracle for n <= 12 in the test suite.
+    circulant S-rings (Leung-Man: every S-ring over a cyclic group is
+    rank 2, cyclotomic, a tensor product or a generalized wreath
+    product); it is cross-checked against the brute-force oracle for
+    n <= 12 in the test suite.
+
+    The wreath products are a hash join: for each (n1, m, n2) the
+    rings of order n2 are grouped by their restriction to the order-m
+    subgroup, the rings of order n1 by their quotient by the order-n1/m
+    subgroup, and only rings in groups with equal sections are glued.
+    Every product's canonical key is computed first, and `validate` runs
+    once per distinct ring.  Each section is computed (and validated) by
+    the public `quotient`/`restrict` once per ring and subgroup order, and
+    stored as the integer id of its key, so the memos, local to this call,
+    hold no ring data of their own.
     """
     if n > cap:
         raise CapExceeded(f"n={n} exceeds cap {cap}")
-    per_divisor: dict[int, dict[tuple, SRing]] = {}
+    # canonical key -> id, for every ring built and every section seen; a
+    # section's order is below the divisor being built, so it never hides a new ring
+    ids: dict[tuple, int] = {}
+    per_divisor: dict[int, list[SRing]] = {}
+    a_groups_of: dict[int, list[list[int]]] = {}
+    groups: dict[tuple, dict[int, list[SRing]]] = {}
+
+    def by_section(section, order: int, sub: int) -> dict[int, list[SRing]]:
+        """Rings of `order` having an A-group of order `sub`, grouped by
+        the id of their section `section(A, sub)`."""
+        memo = (section, order, sub)
+        if memo not in groups:
+            if order not in a_groups_of:
+                a_groups_of[order] = [a_groups(A) for A in per_divisor[order]]
+            by_id: dict[int, list[SRing]] = {}
+            for A, ags in zip(per_divisor[order], a_groups_of[order]):
+                if sub in ags:
+                    sid = ids.setdefault(section(A, sub).key(), len(ids))
+                    by_id.setdefault(sid, []).append(A)
+            groups[memo] = by_id
+        return groups[memo]
+
     for d in divisors(n):
-        found: dict[tuple, SRing] = {}
+        found: list[SRing] = []
 
         def add(A: SRing):
-            found.setdefault(A.key(), A)
+            if A.key() not in ids:
+                ids[A.key()] = len(ids)
+                found.append(A)
+
+        def add_product(order: int, classes):
+            canon = canonical_classes(classes)
+            if (order, canon) not in ids:
+                add(validate(order, canon))
 
         for K in unit_subgroups(d):
             add(cyclotomic(K))
@@ -117,9 +144,9 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
             d2 = d // d1
             if d1 <= 1 or d2 <= 1 or d1 > d2 or math.gcd(d1, d2) != 1:
                 continue
-            for A1 in per_divisor[d1].values():
-                for A2 in per_divisor[d2].values():
-                    add(tensor(A1, A2))
+            for A1 in per_divisor[d1]:
+                for A2 in per_divisor[d2]:
+                    add_product(*tensor_classes(A1, A2))
         # generalized wreath products glued over a common section
         for n1 in divisors(d):
             if n1 == 1 or n1 == d:
@@ -130,16 +157,15 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 n2 = d * m // n1
                 if n2 == d or n2 not in per_divisor or n2 % m != 0:
                     continue
-                for A1 in per_divisor[n1].values():
-                    for A2 in per_divisor[n2].values():
-                        try:
-                            add(gen_wreath(A1, A2, m))
-                        except (IncompatibleSection, NotAnAGroup):
-                            continue
+                right = by_section(restrict, n2, m)
+                for sid, left in by_section(quotient, n1, n1 // m).items():
+                    for A1 in left:
+                        for A2 in right.get(sid, ()):
+                            add_product(*gen_wreath_classes(A1, A2, m))
         per_divisor[d] = found
 
-    rings = _catalog_order(per_divisor[n].values())
-    return Catalog(n, tuple(rings), len(rings), _cayley_orbit_count(n, rings))
+    rings = _catalog_order(per_divisor[n])
+    return Catalog(n, tuple(rings), len(rings))
 
 
 def _inverse_closed_partitions(n: int):
@@ -205,11 +231,11 @@ def brute_force_enumerate(n: int, cap: int = BRUTE_CAP) -> Catalog:
     for part in _inverse_closed_partitions(n):
         try:
             A = validate(n, [[0]] + part)
-        except Exception:
+        except SchurRingError:
             continue
         rings[A.key()] = A
     ordered = _catalog_order(rings.values())
-    return Catalog(n, tuple(ordered), len(ordered), _cayley_orbit_count(n, ordered))
+    return Catalog(n, tuple(ordered), len(ordered))
 
 
 def census(n: int, cap: int = DEFAULT_CAP, budget: Optional[int] = None) -> CensusReport:

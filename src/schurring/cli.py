@@ -176,8 +176,6 @@ def cmd_enumerate(args) -> int:
         else:
             cat = catalog_mod.enumerate_srings(args.n, cap=args.cap)
             report = {"n": args.n, "count": cat.count_exact}
-            if args.up_to_cayley:
-                report["count_up_to_cayley"] = cat.count_up_to_cayley
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -217,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate", help="catalog of all S-rings over Z_n")
     e.add_argument("n", type=int)
     e.add_argument("--census", action="store_true", help="decide schurity of each ring")
-    e.add_argument("--up-to-cayley", action="store_true",
-                   help="also count multiplier orbits")
     e.add_argument("--cap", type=int, default=catalog_mod.DEFAULT_CAP)
     e.add_argument("--budget", type=int, default=None)
     e.set_defaults(func=cmd_enumerate)
@@ -234,7 +230,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
-    if args.command == "classify" and args.n < 1:
+    if args.command in ("classify", "enumerate") and args.n < 1:
         print("error: n must be positive", file=sys.stderr)
         return EXIT_INPUT
     return args.func(args)

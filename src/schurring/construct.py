@@ -85,11 +85,9 @@ def _crt_coeffs(n1: int, n2: int) -> tuple[int, int]:
     return e1, e2
 
 
-def tensor(A1: SRing, A2: SRing) -> SRing:
-    """Tensor product over Z_{n1*n2} via the CRT bijection (coprime orders)."""
+def tensor_classes(A1: SRing, A2: SRing) -> tuple[int, list[list[int]]]:
+    """Order and (unvalidated) classes of the tensor product; orders coprime."""
     n1, n2 = A1.n, A2.n
-    if math.gcd(n1, n2) != 1:
-        raise NotCoprime(f"{n1} and {n2} are not coprime")
     n = n1 * n2
     e1, e2 = _crt_coeffs(n1, n2)
     classes = [
@@ -97,7 +95,14 @@ def tensor(A1: SRing, A2: SRing) -> SRing:
         for X in A1.classes
         for Y in A2.classes
     ]
-    return validate(n, classes)
+    return n, classes
+
+
+def tensor(A1: SRing, A2: SRing) -> SRing:
+    """Tensor product over Z_{n1*n2} via the CRT bijection (coprime orders)."""
+    if math.gcd(A1.n, A2.n) != 1:
+        raise NotCoprime(f"{A1.n} and {A2.n} are not coprime")
+    return validate(*tensor_classes(A1, A2))
 
 
 def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
@@ -115,6 +120,13 @@ def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
     right = restrict(A2, m)
     if left.key() != right.key():
         raise IncompatibleSection(left, right)
+    return validate(*gen_wreath_classes(A1, A2, m))
+
+
+def gen_wreath_classes(A1: SRing, A2: SRing, m: int) -> tuple[int, list[list[int]]]:
+    """Order and (unvalidated) classes of the generalized wreath product;
+    the caller has checked that the order-m sections of A1 and A2 agree."""
+    n1, n2 = A1.n, A2.n
     n = n1 * n2 // m
     lift = n2 // m  # i_{n1, n}: multiply by n/n1
     classes = [[x * lift % n for x in X] for X in A1.classes]
@@ -124,7 +136,7 @@ def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
         if all(y % step2 == 0 for y in Y):
             continue  # inside Z_m: covered by A1's side
         classes.append([y + j * n2 for y in Y for j in range(cosets)])
-    return validate(n, classes)
+    return n, classes
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,15 @@ class RadicalReport:
     well_defined: bool
 
 
+def canonical_classes(classes) -> tuple[tuple[int, ...], ...]:
+    """The canonical class order: ascending elements, classes by minimum.
+
+    For a valid partition of Z_n, `(n, canonical_classes(classes))` is the
+    key of the ring that `validate` returns.
+    """
+    return tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0] if c else -1))
+
+
 def validate(n: int, classes) -> SRing:
     """Check all S-ring axioms and return the canonical SRing.
 
@@ -71,7 +80,7 @@ def validate(n: int, classes) -> SRing:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    canon = sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0] if c else -1)
+    canon = canonical_classes(classes)
     seen = [False] * n
     for c in canon:
         if not c:
@@ -110,7 +119,7 @@ def validate(n: int, classes) -> SRing:
                     if counts[z] != c0:
                         raise NotClosedUnderProduct(X, Y, Z[0], z)
 
-    return SRing(n, tuple(canon), tuple(class_of))
+    return SRing(n, canon, tuple(class_of))
 
 
 def group_ring(n: int) -> SRing:

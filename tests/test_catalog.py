@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from schurring import catalog as catalog_mod
 from schurring.catalog import (
     BRUTE_CAP,
     Catalog,
@@ -12,7 +13,8 @@ from schurring.catalog import (
     enumerate_srings,
     unit_subgroups,
 )
-from schurring.errors import CapExceeded
+from schurring.construct import units
+from schurring.errors import CapExceeded, NotClosedUnderProduct
 from schurring.sring import validate
 
 # exact counts, frozen from the brute-force oracle
@@ -55,7 +57,32 @@ def test_catalog_entries_are_valid_and_deduplicated():
     assert len(keys) == len(set(keys))
     for A in cat.rings:
         assert validate(A.n, [list(c) for c in A.classes]).key() == A.key()
-    assert cat.count_up_to_cayley <= cat.count_exact
+
+
+def test_catalog_rings_are_multiplier_invariant():
+    # Schur-Wielandt: every unit of Z_n maps each basic set onto a basic set
+    for n in [*range(1, 37), 48]:
+        for A in enumerate_srings(n).rings:
+            classes = set(A.classes)
+            for m in units(n):
+                for c in A.classes:
+                    assert tuple(sorted(m * x % n for x in c)) in classes, (n, A.classes, m)
+
+
+def test_brute_force_propagates_unexpected_errors(monkeypatch):
+    # only axiom failures (SchurRingError) mean "not an S-ring"; anything else is a bug
+    def broken(n, classes):
+        raise RuntimeError("bug inside validate")
+
+    monkeypatch.setattr(catalog_mod, "validate", broken)
+    with pytest.raises(RuntimeError, match="bug inside validate"):
+        brute_force_enumerate(4)
+
+    def rejects_all(n, classes):
+        raise NotClosedUnderProduct((), (), 0, 0)
+
+    monkeypatch.setattr(catalog_mod, "validate", rejects_all)
+    assert brute_force_enumerate(4).count_exact == 0
 
 
 def test_caps():

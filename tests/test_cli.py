@@ -136,11 +136,13 @@ def test_schurity_budget_exit_code(capsys, tmp_path):
 def test_enumerate_command(capsys):
     code, doc, _ = run_json(capsys, "enumerate", "4", "--json")
     assert code == EXIT_OK and doc == {"n": 4, "count": 3}
-    code, doc, _ = run_json(capsys, "enumerate", "8", "--up-to-cayley", "--json")
-    assert doc["count"] == 10 and doc["count_up_to_cayley"] <= 10
     code, doc, _ = run_json(capsys, "enumerate", "12", "--census", "--json")
     assert doc == {"n": 12, "count": 32, "schurian": 32, "nonschurian": 0}
     assert run(capsys, "enumerate", "100")[0] == EXIT_INPUT
+    for argv in (["--", "-5"], ["0"]):
+        for extra in ([], ["--census"]):
+            code, out, err = run(capsys, "enumerate", *extra, *argv)
+            assert code == EXIT_INPUT and out == "" and err.startswith("error:")
 
 
 def test_unknown_command_is_input_error(capsys):
