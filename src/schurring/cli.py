@@ -32,10 +32,21 @@ def ring_to_document(A: SRing) -> dict:
     return {"n": A.n, "classes": [list(c) for c in A.classes]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def ring_from_document(doc: dict) -> SRing:
-    if not isinstance(doc, dict) or "n" not in doc or "classes" not in doc:
+    """Parse a ring document; anything but {"n": int, "classes": [[int]]}
+    (JSON booleans are not ints here) raises ValueError."""
+    if (
+        not isinstance(doc, dict)
+        or not _is_int(doc.get("n"))
+        or not isinstance(doc.get("classes"), list)
+        or not all(isinstance(c, list) and all(map(_is_int, c)) for c in doc["classes"])
+    ):
         raise ValueError('document must be {"n": int, "classes": [[int]]}')
-    return validate(int(doc["n"]), doc["classes"])
+    return validate(doc["n"], doc["classes"])
 
 
 def _emit(report: dict, as_json: bool):
@@ -91,9 +102,13 @@ def cmd_witness(args) -> int:
         "factors": {"a": w.a, "b": w.b, "c": w.c, "d": w.d},
     }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(ring_to_document(w.ring), fh)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(ring_to_document(w.ring), fh)
+                fh.write("\n")
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
+            return EXIT_INPUT
         report["written"] = args.output
     else:
         report["classes"] = [list(c) for c in w.ring.classes]

@@ -10,6 +10,7 @@ from typing import Optional
 
 from .arith import divisors, omega_star
 from .errors import IncompatibleSection, NotCoprime
+from .perm import orbits_of_perms
 from .sring import SRing, quotient, restrict, validate
 
 
@@ -59,16 +60,8 @@ def k_m(m: int) -> MultiplierGroup:
 def cyclotomic(K: MultiplierGroup) -> SRing:
     """The S-ring whose classes are the orbits of K on Z_n."""
     n = K.n
-    seen = [False] * n
-    classes = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        orb = sorted({m * x % n for m in K.elements})
-        for y in orb:
-            seen[y] = True
-        classes.append(orb)
-    return validate(n, classes)
+    multipliers = [tuple(m * x % n for x in range(n)) for m in K.elements]
+    return validate(n, orbits_of_perms(n, multipliers))
 
 
 def rank2(n: int) -> SRing:

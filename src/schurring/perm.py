@@ -155,20 +155,6 @@ class PermGroup:
             p = mult(p, inverse(lvl.transversal[b]))
         return p == identity(self.degree)
 
-    # -- orbits --------------------------------------------------------
-
-    def orbit(self, x: int) -> set[int]:
-        orb = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in self.generators:
-                z = g[y]
-                if z not in orb:
-                    orb.add(z)
-                    frontier.append(z)
-        return orb
-
 
 @dataclass
 class _Level:

@@ -11,11 +11,16 @@ row with the compatibility mask M[v][:, None] == M[w][None, :].
 The search produces a strong generating set of the stabilizer relative
 to the base 1, 2, ..., n-1, which gives both the group order (product of
 the orbit sizes along the chain) and the stabilizer orbit partition.
+
+The search result depends only on the ring and the node budget, so it is
+memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
+A search that runs out of budget raises and is not memoized, and a call
+with another budget is another key, so the memo never hides an overrun.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,13 +31,7 @@ from .perm import PermGroup, is_normal_subgroup, orbits_of_perms, translations
 from .sring import SRing, restrict_section, sections
 
 DEFAULT_BUDGET = 10**8
-
-
-def _budget_from_env(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("SCHURRING_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
 
 
 def color(A: SRing, x: int, y: int) -> int:
@@ -113,65 +112,34 @@ class _AutData:
     stabilizer_orbits: tuple[tuple[int, ...], ...]
 
 
-_aut_cache: dict[tuple, _AutData] = {}
-
-
+@functools.lru_cache(maxsize=AUT_MEMO_SIZE)
 def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
-    key = A.key()
-    if key in _aut_cache:
-        return _aut_cache[key]
     n = A.n
-    if n == 1:
-        data = _AutData((), 1, ((0,),))
-        _aut_cache[key] = data
-        return data
-    search = _AutSearch(A, _Budget(_budget_from_env(budget)))
+    search = _AutSearch(A, _Budget(DEFAULT_BUDGET if budget is None else budget))
     base = list(range(1, n))
-    sgs: list[tuple[int, tuple[int, ...]]] = []  # (level, perm fixing base[:level])
-
-    def orbit(v, gens):
-        orb = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orb:
-                    orb.add(y)
-                    frontier.append(y)
-        return orb
-
-    orbit_sizes = []
+    gens: list[tuple[int, ...]] = []
+    order = n
     for i, v in enumerate(base):
         prefix = [(p, p) for p in base[:i]]
-        probe = search.find(prefix)
-        if probe is None:  # over-constrained prefix cannot happen: id extends
-            raise AssertionError("identity must extend every fixed prefix")
-        level_gens = [g for lvl, g in sgs if lvl >= i]
-        orb = orbit(v, level_gens)
+        # the generators found so far all move an earlier base point, so
+        # the orbit of v under the stabilizer of base[:i] starts as {v}
+        level_gens: list[tuple[int, ...]] = []
+        orb: tuple[int, ...] = (v,)
         # candidate images of v compatible with the fixed prefix
         cand = np.ones(n, dtype=bool)
         for p, _ in [(0, 0)] + prefix:
             cand &= search.M[p] == search.M[p][v]
         for w in np.flatnonzero(cand):
             w = int(w)
-            if w == v or w in orb:
+            if w in orb:
                 continue
             f = search.find(prefix + [(v, w)])
             if f is not None:
-                sgs.append((i, f))
+                gens.append(f)
                 level_gens.append(f)
-                orb = orbit(v, level_gens)
-        orbit_sizes.append(len(orb))
-
-    order = n
-    for s in orbit_sizes:
-        order *= s
-    gens = tuple(g for _, g in sgs)
-    orbs = tuple(orbits_of_perms(n, gens)) if gens else tuple((x,) for x in range(n))
-    data = _AutData(gens, order, orbs)
-    _aut_cache[key] = data
-    return data
+                orb = next(o for o in orbits_of_perms(n, level_gens) if v in o)
+        order *= len(orb)
+    return _AutData(tuple(gens), order, tuple(orbits_of_perms(n, gens)))
 
 
 def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:

@@ -22,6 +22,7 @@ from .errors import (
     NotInverseClosed,
     ZeroClassNotSingleton,
 )
+from .perm import orbits_of_perms
 
 
 @dataclass(frozen=True)
@@ -281,16 +282,8 @@ def is_cyclotomic(A: SRing):
 
     n = A.n
     kstar = multiplier_stabilizer(A)
-    seen = [False] * n
-    orbits = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        orb = sorted({m * x % n for m in kstar})
-        for y in orb:
-            seen[y] = True
-        orbits.append(tuple(orb))
-    if tuple(sorted(orbits)) == A.classes:
+    multipliers = [tuple(m * x % n for x in range(n)) for m in kstar]
+    if tuple(orbits_of_perms(n, multipliers)) == A.classes:
         return MultiplierGroup(n, tuple(kstar), tuple(kstar))
     return None
 

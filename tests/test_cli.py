@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from schurring.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -67,6 +69,34 @@ def test_witness_command(capsys, tmp_path):
     assert json.loads(out120.read_text())["n"] == 120
 
 
+def test_witness_unwritable_output_is_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "w.json"
+    code, out, err = run(capsys, "witness", "8", "9", "-o", str(target))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 4, "classes": [[0], ["2"], [1, 3]]}',
+        '{"n": 4, "classes": [[0], [2.0], [1, 3]]}',
+        '{"n": 4, "classes": 5}',
+        '{"n": 2, "classes": [[0], [true]]}',
+        '{"n": "4", "classes": [[0], [2], [1, 3]]}',
+    ],
+    ids=["string-element", "float-element", "classes-not-a-list", "bool-element", "string-n"],
+)
+def test_malformed_documents_are_validation_failures(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    for command in ("analyze", "schurity"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_VALIDATION and out == ""
+        assert "Traceback" not in err and "ValueError" in err
+
+
 def test_analyze_command(capsys, tmp_path):
     w_file = write_doc(tmp_path / "w72.json", witness(8, 9))
     code, doc, _ = run_json(capsys, "analyze", w_file, "--json")
@@ -125,9 +155,6 @@ def test_schurity_reports_huge_orders_factored(capsys, tmp_path):
 
 
 def test_schurity_budget_exit_code(capsys, tmp_path):
-    from schurring.schurity import _aut_cache
-
-    _aut_cache.pop(rank2(19).key(), None)  # a cached verdict spends no budget
     r_file = write_doc(tmp_path / "r19.json", rank2(19))
     code, _, err = run(capsys, "schurity", r_file, "--budget", "1")
     assert code == EXIT_BUDGET and "budget" in err

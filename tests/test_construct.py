@@ -2,6 +2,7 @@
 
 import pytest
 
+from schurring.catalog import unit_subgroups
 from schurring.construct import (
     MultiplierGroup,
     cyclotomic,
@@ -17,6 +18,7 @@ from schurring.errors import IncompatibleSection, NotCoprime
 from schurring.sring import (
     Section,
     group_ring,
+    is_cyclotomic,
     quotient,
     restrict,
     validate,
@@ -55,6 +57,21 @@ def test_cyclotomic_examples():
     assert A.rank == 6
     # the class of units has cardinality 4
     assert len(A.classes[1]) == 4
+
+
+def test_cyclotomic_classes_are_the_multiplier_orbits():
+    # reference orbits straight from the definition: {m * x % n : m in K}
+    for n in range(1, 65):
+        for K in unit_subgroups(n):
+            seen, want = set(), []
+            for x in range(n):
+                if x not in seen:
+                    orb = tuple(sorted({m * x % n for m in K.elements}))
+                    seen.update(orb)
+                    want.append(orb)
+            A = cyclotomic(K)
+            assert A.classes == tuple(want)
+            assert is_cyclotomic(A) is not None
 
 
 def test_rank2_examples():

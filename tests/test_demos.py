@@ -1,0 +1,26 @@
+"""The narrative demos run to completion and print their conclusions.
+
+`03_enumerate_census.py` is left out: it is a census of small orders,
+which the catalog and acceptance tests already cover.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize(
+    "script, conclusion",
+    [
+        ("01_classify_orders.py", "disagreements: none"),
+        ("02_witness_construction.py", "every proper section ring is schurian: True"),
+        ("04_permutation_wreath.py", "wreath product inside aut(A): True"),
+    ],
+    ids=["01", "02", "04"],
+)
+def test_demo_runs(capsys, script, conclusion):
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    assert conclusion in capsys.readouterr().out

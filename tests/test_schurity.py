@@ -131,20 +131,10 @@ def test_wreath_schurity_on_an_applicable_instance():
     assert is_schurian(A).schurian
 
 
-def _fresh(A):
-    # decided rings are cached; evict so the budgeted search really runs
-    from schurring.schurity import _aut_cache
-
-    _aut_cache.pop(A.key(), None)
-    return A
-
-
 def test_budget_exhaustion_raises():
+    # a verdict decided under the default budget is memoized on (ring, budget),
+    # so a later call with a tiny budget still runs its own search
+    A = rank2(23)
+    assert is_schurian(A).schurian
     with pytest.raises(SearchBudgetExceeded):
-        is_schurian(_fresh(rank2(23)), budget=1)
-
-
-def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv("SCHURRING_BUDGET", "1")
-    with pytest.raises(SearchBudgetExceeded):
-        is_schurian(_fresh(rank2(29)))
+        is_schurian(A, budget=1)
