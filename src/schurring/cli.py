@@ -79,7 +79,11 @@ def _big(x: int):
 
 
 def cmd_classify(args) -> int:
-    c = classify(args.n)
+    try:
+        c = classify(args.n)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     report = {"n": args.n, "schur": c.is_schur}
     if c.is_schur:
         report["families"] = sorted(c.families)
@@ -201,6 +205,14 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _budget_arg(text: str) -> int:
+    """`--budget` value: a non-negative node count."""
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"budget must be non-negative, got {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="schurring",
@@ -224,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("schurity", help="decide schurity of a ring document")
     s.add_argument("file")
-    s.add_argument("--budget", type=int, default=None, help="search node budget")
+    s.add_argument("--budget", type=_budget_arg, default=None, help="search node budget")
     s.set_defaults(func=cmd_schurity)
 
     e = sub.add_parser("enumerate", help="catalog of all S-rings over Z_n")
     e.add_argument("n", type=int)
     e.add_argument("--census", action="store_true", help="decide schurity of each ring")
     e.add_argument("--cap", type=int, default=catalog_mod.DEFAULT_CAP)
-    e.add_argument("--budget", type=int, default=None)
+    e.add_argument("--budget", type=_budget_arg, default=None, help="search node budget")
     e.set_defaults(func=cmd_enumerate)
 
     for sp in (c, w, a, s, e):
@@ -245,7 +257,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
-    if args.command in ("classify", "enumerate") and args.n < 1:
+    if args.command == "enumerate" and args.n < 1:
         print("error: n must be positive", file=sys.stderr)
         return EXIT_INPUT
     return args.func(args)

@@ -8,9 +8,16 @@ depth-first search over color-preserving injections, with numpy-based
 forward checking: assigning v -> w intersects every remaining candidate
 row with the compatibility mask M[v][:, None] == M[w][None, :].
 
-The search produces a strong generating set of the stabilizer relative
-to the base 1, 2, ..., n-1, which gives both the group order (product of
-the orbit sizes along the chain) and the stabilizer orbit partition.
+The search walks the base 1, 2, ..., n-1 once, carrying one n x n
+boolean matrix `fixed`: the candidate images under maps that fix 0 and
+every base point below the current level v.  It starts as the mask of
+(0, 0) and is ANDed with the mask of (v, v) after each level.  Each
+candidate w in row v of `fixed` that is not yet in v's orbit starts one
+DFS from `fixed` ANDed with the mask of (v, w).  The automorphisms found
+form a strong generating set of the stabilizer relative to the base,
+which gives both the group order (product of the orbit sizes along the
+chain) and the stabilizer orbit partition.  Every candidate image the
+DFS tries costs one node of the budget.
 
 The search result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
@@ -39,64 +46,6 @@ def color(A: SRing, x: int, y: int) -> int:
     return A.class_of[(y - x) % A.n]
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, nodes: int):
-        self.remaining = nodes
-
-    def spend(self, k: int = 1):
-        self.remaining -= k
-        if self.remaining < 0:
-            raise SearchBudgetExceeded("automorphism search node budget exhausted")
-
-
-class _AutSearch:
-    """Backtracking search engine for color automorphisms fixing 0."""
-
-    def __init__(self, A: SRing, budget: _Budget):
-        self.n = A.n
-        self.budget = budget
-        n = A.n
-        C = np.asarray(A.class_of, dtype=np.int16)
-        idx = np.arange(n)
-        self.M = C[(idx[None, :] - idx[:, None]) % n]  # M[x, y] = color(x, y)
-
-    def find(self, forced: list[tuple[int, int]]):
-        """One automorphism extending the forced partial map, or None."""
-        n = self.n
-        cand = np.ones((n, n), dtype=bool)
-        image = np.full(n, -1, dtype=np.int64)
-        for v, w in [(0, 0)] + forced:
-            if image[v] == w:
-                continue
-            if not cand[v, w] or image[v] != -1:
-                return None
-            cand = cand & (self.M[v][:, None] == self.M[w][None, :])
-            image[v] = w
-        if not cand[image < 0].any(axis=1).all():
-            return None
-        return self._extend(cand, image)
-
-    def _extend(self, cand, image):
-        todo = np.flatnonzero(image < 0)
-        if todo.size == 0:
-            return tuple(int(x) for x in image)
-        v = int(todo[0])
-        Mv = self.M[v]
-        for w in np.flatnonzero(cand[v]):
-            self.budget.spend()
-            new = cand & (Mv[:, None] == self.M[w][None, :])
-            image[v] = w
-            rest = image < 0
-            if new[rest].any(axis=1).all():
-                found = self._extend(new, image)
-                if found is not None:
-                    return found
-            image[v] = -1
-        return None
-
-
 @dataclass(frozen=True)
 class SchurityVerdict:
     schurian: bool
@@ -114,31 +63,59 @@ class _AutData:
 
 @functools.lru_cache(maxsize=AUT_MEMO_SIZE)
 def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 0:
+        raise ValueError("search budget must be non-negative")
     n = A.n
-    search = _AutSearch(A, _Budget(DEFAULT_BUDGET if budget is None else budget))
-    base = list(range(1, n))
+    C = np.asarray(A.class_of, dtype=np.int16)
+    idx = np.arange(n)
+    M = C[(idx[None, :] - idx[:, None]) % n]  # M[x, y] = color(x, y)
+    nodes = 0
+
+    def extend(cand, image):
+        """One automorphism extending the partial map `image` within the
+        candidate matrix `cand`, or None; `image` is restored on None."""
+        nonlocal nodes
+        rest = image < 0
+        if not cand[rest].any(axis=1).all():
+            return None
+        todo = np.flatnonzero(rest)
+        if todo.size == 0:
+            return tuple(int(x) for x in image)
+        v = int(todo[0])
+        for w in np.flatnonzero(cand[v]):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded("automorphism search node budget exhausted")
+            image[v] = w
+            found = extend(cand & (M[v][:, None] == M[w][None, :]), image)
+            if found is not None:
+                return found
+        image[v] = -1
+        return None
+
+    # fixed[x, y]: y is a candidate image of x under the color
+    # automorphisms that fix 0 and every base point below the current one
+    fixed = M[0][:, None] == M[0][None, :]
     gens: list[tuple[int, ...]] = []
     order = n
-    for i, v in enumerate(base):
-        prefix = [(p, p) for p in base[:i]]
+    for v in range(1, n):
         # the generators found so far all move an earlier base point, so
-        # the orbit of v under the stabilizer of base[:i] starts as {v}
+        # the orbit of v under the stabilizer of 0..v-1 starts as {v}
         level_gens: list[tuple[int, ...]] = []
         orb: tuple[int, ...] = (v,)
-        # candidate images of v compatible with the fixed prefix
-        cand = np.ones(n, dtype=bool)
-        for p, _ in [(0, 0)] + prefix:
-            cand &= search.M[p] == search.M[p][v]
-        for w in np.flatnonzero(cand):
-            w = int(w)
+        for w in np.flatnonzero(fixed[v]):
             if w in orb:
                 continue
-            f = search.find(prefix + [(v, w)])
+            image = np.where(idx < v, idx, -1)
+            image[v] = w
+            f = extend(fixed & (M[v][:, None] == M[w][None, :]), image)
             if f is not None:
                 gens.append(f)
                 level_gens.append(f)
                 orb = next(o for o in orbits_of_perms(n, level_gens) if v in o)
         order *= len(orb)
+        fixed &= M[v][:, None] == M[v][None, :]
     return _AutData(tuple(gens), order, tuple(orbits_of_perms(n, gens)))
 
 

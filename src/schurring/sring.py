@@ -82,6 +82,10 @@ def validate(n: int, classes) -> SRing:
     if n < 1:
         raise ValueError("n must be positive")
     canon = canonical_classes(classes)
+    # n distinct elements in range cover Z_n; checking the count first
+    # also keeps a huge n with few elements from allocating anything
+    if sum(map(len, canon)) != n:
+        raise NotAPartition("class sizes do not sum to n")
     seen = [False] * n
     for c in canon:
         if not c:
@@ -90,8 +94,6 @@ def validate(n: int, classes) -> SRing:
             if not 0 <= x < n or seen[x]:
                 raise NotAPartition(f"element {x} repeated or out of range")
             seen[x] = True
-    if not all(seen):
-        raise NotAPartition("classes do not cover Z_n")
     if canon[0] != (0,):
         raise ZeroClassNotSingleton("class of 0 must be exactly {0}")
 

@@ -51,6 +51,9 @@ def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "7")
     assert "schur: True" in out  # human-readable mode
     assert run(capsys, "classify", "0")[0] == EXIT_INPUT
+    code, out, err = run(capsys, "classify", "10000000000000000000000")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_witness_command(capsys, tmp_path):
@@ -158,6 +161,12 @@ def test_schurity_budget_exit_code(capsys, tmp_path):
     r_file = write_doc(tmp_path / "r19.json", rank2(19))
     code, _, err = run(capsys, "schurity", r_file, "--budget", "1")
     assert code == EXIT_BUDGET and "budget" in err
+    # a negative budget is an input error, rejected while parsing
+    for argv in (["schurity", r_file], ["enumerate", "4", "--census"]):
+        for value in ("-1", "-5"):
+            code, out, err = run(capsys, *argv, f"--budget={value}")
+            assert code == EXIT_INPUT and out == ""
+            assert "--budget" in err and "Traceback" not in err
 
 
 def test_enumerate_command(capsys):

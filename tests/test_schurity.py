@@ -132,9 +132,15 @@ def test_wreath_schurity_on_an_applicable_instance():
 
 
 def test_budget_exhaustion_raises():
-    # a verdict decided under the default budget is memoized on (ring, budget),
-    # so a later call with a tiny budget still runs its own search
-    A = rank2(23)
-    assert is_schurian(A).schurian
-    with pytest.raises(SearchBudgetExceeded):
-        is_schurian(A, budget=1)
+    # one node per candidate image tried: the smallest budget that decides
+    # each ring is pinned.  The default-budget verdict is memoized on
+    # (ring, budget), so every smaller budget still runs its own search.
+    for A, threshold in ((rank2(23), 3311), (cyclotomic(k_m(35)), 33), (witness(8, 9), 209)):
+        decided = is_schurian(A)
+        with pytest.raises(SearchBudgetExceeded):
+            is_schurian(A, budget=1)
+        assert is_schurian(A, budget=threshold) == decided
+        with pytest.raises(SearchBudgetExceeded):
+            is_schurian(A, budget=threshold - 1)
+    with pytest.raises(ValueError):
+        is_schurian(W4, budget=-1)

@@ -61,6 +61,8 @@ def test_validate_rejects_bad_partitions():
         validate(4, [[0], [1, 1], [2], [3]])
     with pytest.raises(NotAPartition):
         validate(4, [[0], [1], [2], [3, 4]])
+    with pytest.raises(NotAPartition):
+        validate(10**12, [[0]])  # rejected before any allocation of size n
     with pytest.raises(ZeroClassNotSingleton):
         validate(4, [[0, 2], [1, 3]])
 

@@ -1,0 +1,48 @@
+"""Verdict gate on the automorphism search.
+
+`data/verdict_digests.json` holds, for every n <= 30, the ring count and
+a sha256 of the sorted ``[key, aut_order, stabilizer_orbits]`` lines over
+`enumerate_srings(n)`.  The order of aut(A) and the orbits of its
+0-stabilizer are invariants of the ring, not of how the search finds
+them, so any later search (a refinement search included) must reproduce
+every entry exactly.
+
+Regenerate (only when a verdict change is intended):
+
+    PYTHONPATH=src python3 tests/test_verdict_digests.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from schurring.catalog import enumerate_srings
+from schurring.schurity import is_schurian
+
+DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "verdict_digests.json"
+MAX_N = 30
+
+
+def verdict_line(A) -> str:
+    v = is_schurian(A)
+    orbits = [list(o) for o in v.stabilizer_orbits]
+    return json.dumps([[A.n, [list(c) for c in A.classes]], v.aut_order, orbits], separators=(",", ":"))
+
+
+def digest_entry(n: int) -> dict:
+    rings = enumerate_srings(n).rings
+    lines = sorted(verdict_line(A) for A in rings)
+    return {"count": len(rings), "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest()}
+
+
+def test_verdicts_match_frozen_digests():
+    frozen = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+    assert sorted(frozen, key=int) == [str(n) for n in range(1, MAX_N + 1)]
+    for n in range(1, MAX_N + 1):
+        assert digest_entry(n) == frozen[str(n)], f"n={n}: verdicts differ from the frozen digest"
+
+
+if __name__ == "__main__":
+    DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    table = {str(n): digest_entry(n) for n in range(1, MAX_N + 1)}
+    DIGESTS_PATH.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
