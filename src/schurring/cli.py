@@ -162,6 +162,9 @@ def cmd_schurity(args) -> int:
         return code
     try:
         v = is_schurian(A, args.budget)
+    except CapExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except SearchBudgetExceeded:
         print("error: search budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
@@ -195,7 +198,7 @@ def cmd_enumerate(args) -> int:
         else:
             cat = catalog_mod.enumerate_srings(args.n, cap=args.cap)
             report = {"n": args.n, "count": cat.count_exact}
-    except CapExceeded as e:
+    except (CapExceeded, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except SearchBudgetExceeded:

@@ -217,11 +217,9 @@ def _cyc_product(a: int, c: int) -> SRing:
     """cyc(K_a x K_c, Z_{a*c}) realized inside units(a*c) via CRT."""
     n = a * c
     e1, e2 = _crt_coeffs(a, c)
-    gens = []
-    for s in (a - 1 if a > 2 else 1,):
-        gens.append((s * e1 + 1 * e2) % n)
-    for s in (c - 1 if c > 2 else 1,):
-        gens.append((1 * e1 + s * e2) % n)
+    s_a = a - 1 if a > 2 else 1
+    s_c = c - 1 if c > 2 else 1
+    gens = [(s_a * e1 + e2) % n, (e1 + s_c * e2) % n]
     return cyclotomic(MultiplierGroup.from_generators(n, gens))
 
 

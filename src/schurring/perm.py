@@ -248,8 +248,8 @@ def closure(n: int, gens: Iterable[Perm]) -> set[Perm]:
 
 
 def _section_perm(g: Perm, block: int) -> Optional[Perm]:
-    """The permutation induced on Z_{len/block}... precisely: g acting on
-    residues mod `block`, or None if g does not respect that congruence."""
+    """The permutation of Z_block that g induces on residues mod `block`,
+    or None if g does not respect that congruence."""
     m = block
     out = [-1] * m
     for x, y in enumerate(g):

@@ -23,6 +23,9 @@ The search result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
 A search that runs out of budget raises and is not memoized, and a call
 with another budget is another key, so the memo never hides an overrun.
+
+Rings over more than `MAX_SEARCH_DEGREE` points are refused with
+CapExceeded before any n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -33,12 +36,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotNonSchurian, SearchBudgetExceeded
+from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from .perm import PermGroup, is_normal_subgroup, orbits_of_perms, translations
 from .sring import SRing, restrict_section, sections
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
+# The DFS recurses once per point, up to n - 1 frames each holding an n x n
+# bool matrix: at n = 512 that is 511 * 256 KiB, about 128 MiB, and the depth
+# stays well below Python's default recursion limit of 1000.  The largest
+# witness has n = 300.
+MAX_SEARCH_DEGREE = 512
 
 
 def color(A: SRing, x: int, y: int) -> int:
@@ -67,6 +75,8 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
     if budget < 0:
         raise ValueError("search budget must be non-negative")
     n = A.n
+    if n > MAX_SEARCH_DEGREE:
+        raise CapExceeded(f"n={n} exceeds the search degree cap {MAX_SEARCH_DEGREE}")
     C = np.asarray(A.class_of, dtype=np.int16)
     idx = np.arange(n)
     M = C[(idx[None, :] - idx[:, None]) % n]  # M[x, y] = color(x, y)

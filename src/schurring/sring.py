@@ -201,7 +201,7 @@ def highest_classes(A: SRing) -> list[int]:
         g = A.n
         for x in c:
             g = math.gcd(g, x)
-        if g == 1 or (A.n == 1 and i == 0):
+        if g == 1:
             out.append(i)
     return out
 
@@ -214,10 +214,7 @@ def radical(A: SRing) -> RadicalReport:
     (a gcd, since subgroups of Z_n are unique per order).
     """
     per_class = tuple(radical_of_class(A, i) for i in range(A.rank))
-    highs = highest_classes(A)
-    if not highs:  # only possible for n = 1
-        return RadicalReport(per_class, 1, True)
-    rads = [per_class[i] for i in highs]
+    rads = [per_class[i] for i in highest_classes(A)]
     if len(set(rads)) == 1:
         return RadicalReport(per_class, rads[0], True)
     inter = 0
@@ -232,12 +229,22 @@ def is_primitive(A: SRing) -> bool:
 
 
 def is_quasidense(A: SRing) -> bool:
-    """Every primitive A-section has prime order."""
-    for s in sections(A):
-        if s.order > 1 and is_primitive(restrict_section(A, s)):
-            if not is_prime(s.order):
-                return False
-    return True
+    """Every primitive A-section has prime order.
+
+    The A_S-groups of a section S = U/L are exactly H/L for the A-groups
+    H with L <= H <= U, so S is primitive iff L < U is a covering pair of
+    the A-group lattice: no A-group lies strictly between them.  The
+    verdict is read off `a_groups(A)`; no section ring is built.
+    """
+    ags = a_groups(A)
+    return all(
+        is_prime(u // l)
+        for u in ags
+        for l in ags
+        if l < u
+        and u % l == 0
+        and not any(h % l == 0 and u % h == 0 for h in ags if l < h < u)
+    )
 
 
 def is_dense(A: SRing) -> bool:
@@ -275,7 +282,7 @@ def multiplier_stabilizer(A: SRing) -> list[int]:
         for m in range(1, n + 1 if n == 1 else n)
         if math.gcd(m, n) == 1
         and all(A.class_of[m * x % n] == A.class_of[x] for x in range(n))
-    ] or [1]
+    ]
 
 
 def is_cyclotomic(A: SRing):

@@ -15,6 +15,7 @@ from schurring.cli import (
     ring_to_document,
 )
 from schurring.construct import rank2, witness
+from schurring.schurity import MAX_SEARCH_DEGREE
 from schurring.sring import group_ring
 
 
@@ -169,6 +170,14 @@ def test_schurity_budget_exit_code(capsys, tmp_path):
             assert "--budget" in err and "Traceback" not in err
 
 
+def test_schurity_degree_cap_is_input_error(capsys, tmp_path):
+    r_file = write_doc(tmp_path / "big.json", rank2(MAX_SEARCH_DEGREE + 1))
+    code, out, err = run(capsys, "schurity", r_file, "--json")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(MAX_SEARCH_DEGREE) in err
+
+
 def test_enumerate_command(capsys):
     code, doc, _ = run_json(capsys, "enumerate", "4", "--json")
     assert code == EXIT_OK and doc == {"n": 4, "count": 3}
@@ -179,6 +188,10 @@ def test_enumerate_command(capsys):
         for extra in ([], ["--census"]):
             code, out, err = run(capsys, "enumerate", *extra, *argv)
             assert code == EXIT_INPUT and out == "" and err.startswith("error:")
+    # past the range of arith.factorize, with a cap that admits it
+    code, out, err = run(capsys, "enumerate", "9223372036854775808", "--cap", "99999999999999999999")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unknown_command_is_input_error(capsys):

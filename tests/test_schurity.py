@@ -6,9 +6,10 @@ import pytest
 
 from conftest import is_color_automorphism
 from schurring.construct import cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
-from schurring.errors import NotNonSchurian, SearchBudgetExceeded
+from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from schurring.perm import group_order
 from schurring.schurity import (
+    MAX_SEARCH_DEGREE,
     aut_order,
     automorphism_group,
     color,
@@ -144,3 +145,11 @@ def test_budget_exhaustion_raises():
             is_schurian(A, budget=threshold - 1)
     with pytest.raises(ValueError):
         is_schurian(W4, budget=-1)
+
+
+def test_search_degree_cap():
+    # refused before the search allocates its n x n matrices or recurses
+    A = rank2(MAX_SEARCH_DEGREE + 1)
+    for decide in (is_schurian, aut_order, automorphism_group):
+        with pytest.raises(CapExceeded):
+            decide(A)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from schurring.construct import cyclotomic, k_m, rank2, tensor, units, MultiplierGroup
+from schurring.arith import is_prime
+from schurring.catalog import enumerate_srings
+from schurring.construct import cyclotomic, k_m, rank2, tensor, units, witness, MultiplierGroup
 from schurring.errors import (
     NotAnAGroup,
     NotAPartition,
@@ -181,6 +183,28 @@ def test_is_quasidense_examples():
     assert is_quasidense(group_ring(12))
     assert is_quasidense(rank2(5))
     assert is_quasidense(W8)
+
+
+def _quasidense_by_section_rings(A):
+    """Quasidensity from its definition: build every section ring and ask
+    whether it is primitive.  The reference for the A-group lattice rule."""
+    for s in sections(A):
+        if s.order > 1 and is_primitive(restrict_section(A, s)):
+            if not is_prime(s.order):
+                return False
+    return True
+
+
+def test_is_quasidense_matches_section_rings():
+    rings = [A for n in range(1, 31) for A in enumerate_srings(n).rings]
+    for A in rings + [witness(8, 9), witness(8, 15)]:
+        assert is_quasidense(A) == _quasidense_by_section_rings(A), A.key()
+    # the A_S-groups of S = U/L are H/L for the A-groups L <= H <= U
+    for A in (A for A in rings if A.n <= 24):
+        ags = a_groups(A)
+        for s in sections(A):
+            interval = [h // s.l for h in ags if h % s.l == 0 and s.u % h == 0]
+            assert a_groups(restrict_section(A, s)) == interval, (A.key(), s)
 
 
 def test_is_dense_examples():
