@@ -19,7 +19,7 @@ from . import sring as sring_mod
 from .arith import classify
 from .construct import witness_detailed
 from .errors import CapExceeded, SchurRingError, SearchBudgetExceeded
-from .schurity import is_schurian
+from .schurity import check_search_degree, is_schurian
 from .sring import SRing, validate
 
 EXIT_OK = 0
@@ -36,9 +36,8 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def ring_from_document(doc: dict) -> SRing:
-    """Parse a ring document; anything but {"n": int, "classes": [[int]]}
-    (JSON booleans are not ints here) raises ValueError."""
+def _check_shape(doc) -> None:
+    """The shape check of `ring_from_document`, before any validation."""
     if (
         not isinstance(doc, dict)
         or not _is_int(doc.get("n"))
@@ -46,6 +45,12 @@ def ring_from_document(doc: dict) -> SRing:
         or not all(isinstance(c, list) and all(map(_is_int, c)) for c in doc["classes"])
     ):
         raise ValueError('document must be {"n": int, "classes": [[int]]}')
+
+
+def ring_from_document(doc: dict) -> SRing:
+    """Parse a ring document; anything but {"n": int, "classes": [[int]]}
+    (JSON booleans are not ints here) raises ValueError."""
+    _check_shape(doc)
     return validate(doc["n"], doc["classes"])
 
 
@@ -120,7 +125,10 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _load_ring(path: str):
+def _load_ring(path: str, searched: bool = False):
+    """The ring in the document at `path`, or None and an exit code.  A
+    ring that will be `searched` has its degree checked against the search
+    cap before it is validated."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -128,7 +136,13 @@ def _load_ring(path: str):
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         return None, EXIT_INPUT
     try:
-        return ring_from_document(doc), EXIT_OK
+        _check_shape(doc)
+        if searched:
+            check_search_degree(doc["n"])
+        return validate(doc["n"], doc["classes"]), EXIT_OK
+    except CapExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None, EXIT_INPUT
     except (ValueError, SchurRingError) as e:
         print(f"validation failure: {type(e).__name__}: {e}", file=sys.stderr)
         return None, EXIT_VALIDATION
@@ -157,14 +171,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_schurity(args) -> int:
-    A, code = _load_ring(args.file)
+    A, code = _load_ring(args.file, searched=True)
     if A is None:
         return code
     try:
         v = is_schurian(A, args.budget)
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except SearchBudgetExceeded:
         print("error: search budget exceeded", file=sys.stderr)
         return EXIT_BUDGET

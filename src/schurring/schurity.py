@@ -8,16 +8,26 @@ depth-first search over color-preserving injections, with numpy-based
 forward checking: assigning v -> w intersects every remaining candidate
 row with the compatibility mask M[v][:, None] == M[w][None, :].
 
-The search walks the base 1, 2, ..., n-1 once, carrying one n x n
-boolean matrix `fixed`: the candidate images under maps that fix 0 and
-every base point below the current level v.  It starts as the mask of
-(0, 0) and is ANDed with the mask of (v, v) after each level.  Each
-candidate w in row v of `fixed` that is not yet in v's orbit starts one
-DFS from `fixed` ANDed with the mask of (v, w).  The automorphisms found
-form a strong generating set of the stabilizer relative to the base,
-which gives both the group order (product of the orbit sizes along the
-chain) and the stabilizer orbit partition.  Every candidate image the
-DFS tries costs one node of the budget.
+The stabilizer chain is built from the bottom up, as in Schreier-Sims:
+the search walks the base n-1, n-2, ..., 1.  At level v the candidate
+images of v are the points whose colors from 0..v-1 all equal v's; they
+are kept as one integer label vector per level (equal labels, same
+colors from 0..v-1), so n^2 ints in all, and the n x n candidate mask is
+built only at levels with more than one candidate.  Every generator
+found at a level above v fixes 0..v-1, so v's orbit starts as its orbit
+under all generators found so far, and only a candidate w outside that
+orbit starts a DFS, from the level's mask ANDed with the mask of (v, w).
+A DFS that fails kills w's whole orbit under the generators found so
+far: if h(w) were an image of v for some such h, w would be one too.
+The generators found form a strong generating set of the stabilizer
+relative to the base, which gives both the group order (product of the
+orbit sizes along the chain) and the stabilizer orbit partition.  Orbits
+are recomputed only when a generator is added.
+
+Inside a DFS, when every unassigned point has exactly one candidate
+left, the map is forced: it is read off and accepted iff it preserves
+every color.  The budget counts nodes: one per candidate image the DFS
+tries when it branches, and one per point a forced map assigns.
 
 The search result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
@@ -42,11 +52,17 @@ from .sring import SRing, restrict_section, sections
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
-# The DFS recurses once per point, up to n - 1 frames each holding an n x n
-# bool matrix: at n = 512 that is 511 * 256 KiB, about 128 MiB, and the depth
-# stays well below Python's default recursion limit of 1000.  The largest
-# witness has n = 300.
+# The DFS recurses at most once per unassigned point, up to n - 2 frames each
+# holding an n x n bool matrix: at n = 512 that is 510 * 256 KiB, about
+# 128 MiB, and the depth stays well below Python's default recursion limit of
+# 1000.  The largest witness has n = 300.
 MAX_SEARCH_DEGREE = 512
+
+
+def check_search_degree(n: int) -> None:
+    """Raise CapExceeded if the search would refuse a ring over n points."""
+    if n > MAX_SEARCH_DEGREE:
+        raise CapExceeded(f"n={n} exceeds the search degree cap {MAX_SEARCH_DEGREE}")
 
 
 def color(A: SRing, x: int, y: int) -> int:
@@ -75,28 +91,40 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
     if budget < 0:
         raise ValueError("search budget must be non-negative")
     n = A.n
-    if n > MAX_SEARCH_DEGREE:
-        raise CapExceeded(f"n={n} exceeds the search degree cap {MAX_SEARCH_DEGREE}")
+    check_search_degree(n)
     C = np.asarray(A.class_of, dtype=np.int16)
     idx = np.arange(n)
     M = C[(idx[None, :] - idx[:, None]) % n]  # M[x, y] = color(x, y)
     nodes = 0
 
+    def charge(k):
+        nonlocal nodes
+        nodes += k
+        if nodes > budget:
+            raise SearchBudgetExceeded("automorphism search node budget exhausted")
+
     def extend(cand, image):
         """One automorphism extending the partial map `image` within the
-        candidate matrix `cand`, or None; `image` is restored on None."""
-        nonlocal nodes
+        candidate matrix `cand`, or None; `image` is restored on None.
+
+        When every unassigned point has exactly one candidate the map is
+        forced: it is read off, charged one node per point it assigns and
+        accepted iff it preserves every color.  Otherwise the first
+        unassigned point branches, one node per candidate image tried.
+        """
         rest = image < 0
-        if not cand[rest].any(axis=1).all():
+        counts = cand[rest].sum(axis=1)
+        if not counts.all():
             return None
         todo = np.flatnonzero(rest)
-        if todo.size == 0:
-            return tuple(int(x) for x in image)
+        if (counts == 1).all():
+            charge(todo.size)
+            full = image.copy()
+            full[todo] = cand[todo].argmax(axis=1)
+            return tuple(full.tolist()) if (M[full][:, full] == M).all() else None
         v = int(todo[0])
         for w in np.flatnonzero(cand[v]):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded("automorphism search node budget exhausted")
+            charge(1)
             image[v] = w
             found = extend(cand & (M[v][:, None] == M[w][None, :]), image)
             if found is not None:
@@ -104,29 +132,51 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
         image[v] = -1
         return None
 
-    # fixed[x, y]: y is a candidate image of x under the color
-    # automorphisms that fix 0 and every base point below the current one
-    fixed = M[0][:, None] == M[0][None, :]
+    # labels[v][x] == labels[v][y] iff x and y have equal colors from each
+    # of 0..v-1: the candidate images of x under the stabilizer of 0..v-1.
+    # Once the labels are all distinct, every later level is trivial.
+    labels = [np.zeros(n, dtype=np.intp)]
+    while len(labels) < n and labels[-1].max() < n - 1:
+        v = len(labels) - 1
+        labels.append(np.unique(labels[-1] * A.rank + M[v], return_inverse=True)[1])
+
     gens: list[tuple[int, ...]] = []
+    orbits = [(x,) for x in range(n)]  # under gens, as orbits_of_perms gives them
+    orbit = list(orbits)  # orbit[x]: the one containing x, one tuple object per orbit
     order = n
-    for v in range(1, n):
-        # the generators found so far all move an earlier base point, so
-        # the orbit of v under the stabilizer of 0..v-1 starts as {v}
-        level_gens: list[tuple[int, ...]] = []
-        orb: tuple[int, ...] = (v,)
-        for w in np.flatnonzero(fixed[v]):
-            if w in orb:
-                continue
-            image = np.where(idx < v, idx, -1)
-            image[v] = w
-            f = extend(fixed & (M[v][:, None] == M[w][None, :]), image)
-            if f is not None:
+    # Reverse base: every generator found at a level above v fixes 0..v-1,
+    # so v's orbit under the stabilizer of 0..v-1 starts as its orbit
+    # under all of gens, and the generators end up a strong generating set.
+    for v in range(len(labels) - 1, 0, -1):
+        lab = labels[v]
+        cands = np.flatnonzero(lab == lab[v])
+        if cands.size > 1:
+            fixed = lab[:, None] == lab[None, :]
+            dead = set()
+            for w in cands.tolist():
+                if orbit[w] is orbit[v] or w in dead:
+                    continue
+                image = np.where(idx < v, idx, -1)
+                image[v] = w
+                f = extend(fixed & (M[v][:, None] == M[w][None, :]), image)
+                if f is None:
+                    # h(w) for h in the group found so far is no image of v
+                    # either, or w would be one
+                    dead.update(orbit[w])
+                    continue
                 gens.append(f)
-                level_gens.append(f)
-                orb = next(o for o in orbits_of_perms(n, level_gens) if v in o)
-        order *= len(orb)
-        fixed &= M[v][:, None] == M[v][None, :]
-    return _AutData(tuple(gens), order, tuple(orbits_of_perms(n, gens)))
+                # the orbits under gens + [f] are those under f and a
+                # permutation cycling each orbit under gens
+                cycle = list(range(n))
+                for o in orbits:
+                    for i, x in enumerate(o):
+                        cycle[x] = o[i - 1]
+                orbits = orbits_of_perms(n, (cycle, f))
+                for o in orbits:
+                    for x in o:
+                        orbit[x] = o
+        order *= len(orbit[v])
+    return _AutData(tuple(gens), order, tuple(orbits))
 
 
 def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:

@@ -170,12 +170,21 @@ def test_schurity_budget_exit_code(capsys, tmp_path):
             assert "--budget" in err and "Traceback" not in err
 
 
-def test_schurity_degree_cap_is_input_error(capsys, tmp_path):
+def test_schurity_degree_cap_is_input_error(capsys, tmp_path, monkeypatch):
     r_file = write_doc(tmp_path / "big.json", rank2(MAX_SEARCH_DEGREE + 1))
-    code, out, err = run(capsys, "schurity", r_file, "--json")
-    assert code == EXIT_INPUT and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert str(MAX_SEARCH_DEGREE) in err
+    # {0}, {x, -x}: 516 classes, slow to validate, refused before validating
+    n = 1031
+    pm_file = tmp_path / "pm.json"
+    pm_file.write_text(json.dumps({"n": n, "classes": [[0]] + [[x, n - x] for x in range(1, n // 2 + 1)]}))
+
+    def no_validate(*args):
+        raise AssertionError("validate ran before the degree cap")
+
+    monkeypatch.setattr("schurring.cli.validate", no_validate)
+    for path, degree in ((r_file, MAX_SEARCH_DEGREE + 1), (str(pm_file), n)):
+        code, out, err = run(capsys, "schurity", path, "--json")
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: n={degree} exceeds the search degree cap {MAX_SEARCH_DEGREE}\n"
 
 
 def test_enumerate_command(capsys):

@@ -5,11 +5,13 @@ import math
 import pytest
 
 from conftest import is_color_automorphism
+from schurring.catalog import enumerate_srings
 from schurring.construct import cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
-from schurring.perm import group_order
+from schurring.perm import group_order, orbits_of_perms
 from schurring.schurity import (
     MAX_SEARCH_DEGREE,
+    _aut_data,
     aut_order,
     automorphism_group,
     color,
@@ -48,6 +50,18 @@ def test_automorphism_group_generators_preserve_colors():
         shift = tuple((x + 1) % A.n for x in range(A.n))
         assert A.n == 1 or shift in G
         assert group_order(G) == aut_order(A)
+
+
+def test_stabilizer_chain_is_checked_independently():
+    # the search's generators against PermGroup's own Schreier-Sims and a
+    # direct color check, not against the search's own bookkeeping
+    rings = [A for n in range(1, 17) for A in enumerate_srings(n).rings] + [witness(8, 9)]
+    for A in rings:
+        data = _aut_data(A)
+        for g in data.stabilizer_gens:
+            assert g[0] == 0 and is_color_automorphism(A, g)
+        assert automorphism_group(A).order() == aut_order(A) == data.order
+        assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == data.stabilizer_orbits
 
 
 def test_aut_order_is_multiplier_invariant():
@@ -133,10 +147,11 @@ def test_wreath_schurity_on_an_applicable_instance():
 
 
 def test_budget_exhaustion_raises():
-    # one node per candidate image tried: the smallest budget that decides
-    # each ring is pinned.  The default-budget verdict is memoized on
-    # (ring, budget), so every smaller budget still runs its own search.
-    for A, threshold in ((rank2(23), 3311), (cyclotomic(k_m(35)), 33), (witness(8, 9), 209)):
+    # one node per candidate image a branch tries and one per point a forced
+    # map assigns: the smallest budget that decides each ring is pinned.
+    # The default-budget verdict is memoized on (ring, budget), so every
+    # smaller budget still runs its own search.
+    for A, threshold in ((rank2(23), 231), (cyclotomic(k_m(35)), 33), (witness(8, 9), 209)):
         decided = is_schurian(A)
         with pytest.raises(SearchBudgetExceeded):
             is_schurian(A, budget=1)

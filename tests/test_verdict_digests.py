@@ -1,6 +1,6 @@
 """Verdict gate on the automorphism search.
 
-`data/verdict_digests.json` holds, for every n <= 30, the ring count and
+`data/verdict_digests.json` holds, for every n <= 36, the ring count and
 a sha256 of the sorted ``[key, aut_order, stabilizer_orbits]`` lines over
 `enumerate_srings(n)`.  The order of aut(A) and the orbits of its
 0-stabilizer are invariants of the ring, not of how the search finds
@@ -20,7 +20,7 @@ from schurring.catalog import enumerate_srings
 from schurring.schurity import is_schurian
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "verdict_digests.json"
-MAX_N = 30
+MAX_N = 36
 
 
 def verdict_line(A) -> str:
