@@ -165,6 +165,8 @@ def witness_detailed(n1: int, n2: int) -> WitnessConstruction:
     glues four cyclotomic rings; when one of the inputs is 8 the special
     branch with a = b = 4 and odd c, d is taken.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"witness parts must be positive, got {n1} and {n2}")
     if math.gcd(n1, n2) != 1:
         raise ValueError(f"{n1} and {n2} must be coprime")
     if omega_star(n1) < 2 or omega_star(n2) < 2:

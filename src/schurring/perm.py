@@ -7,8 +7,9 @@ compose left-to-right: (p * q)(i) = q[p[i]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import NotASubgroup, SectionActionMismatch
 
@@ -38,8 +39,13 @@ def is_perm(p, n: int) -> bool:
 class PermGroup:
     """A permutation group given by generators, with a stabilizer chain.
 
-    The chain (deterministic Schreier-Sims, natural base order) is built
-    lazily on first use; adequate for the degrees this package handles.
+    The chain is built lazily on first use, from the generators alone, by
+    a deterministic incremental Schreier-Sims on numpy arrays (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).  Each level keeps its
+    base point, its basic orbit, and the coset representative of every
+    orbit point and its inverse as rows of a small-int array.  A level's
+    Schreier generators are sifted one strong generator at a time, as
+    one |orbit| x n array with one gather per deeper level.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm]):
@@ -57,90 +63,37 @@ class PermGroup:
     # -- chain ---------------------------------------------------------
 
     def _build_chain(self):
-        """Deterministic Schreier-Sims, run to a fixpoint.
+        """Incremental Schreier-Sims, one input generator at a time.
 
-        Strong generators live in one pool; level i uses those fixing
-        base[:i] pointwise.  A pass recomputes every transversal and
-        sifts every Schreier generator; a pass with no new residue
-        certifies the chain.  Quadratic-ish, fine at small degree.
+        Each generator that does not sift through the chain so far joins
+        it as a residue.  When the scan is at level i, the levels below i
+        are a base and strong generating set of the group that level
+        i + 1's generators generate, and level i sifts its unchecked
+        Schreier generators through them.  A residue joins levels
+        i + 1 .. j, where j is the level it dropped out at (a new level
+        when it sifted through all of them), and the scan resumes at
+        level j.  Orbits and representatives only grow, so a (orbit point,
+        generator) pair that sifted once is never sifted again.
         """
         if self._chain is not None:
             return
-        n = self.degree
-        e = identity(n)
-        strong: list[Perm] = list(self.generators)
-        base: list[int] = []
-
-        def fix_base(g: Perm, i: int) -> bool:
-            return all(g[b] == b for b in base[:i])
-
-        def extend_base(g: Perm):
-            if not any(fix_base(g, len(base)) and g[x] != x for x in range(n)):
-                return
-            for x in range(n):
-                if g[x] != x and x not in base:
-                    base.append(x)
-                    return
-
-        for g in strong:
-            if fix_base(g, len(base)):
-                extend_base(g)
-
-        def build_levels() -> list[_Level]:
-            levels = []
-            for i, pt in enumerate(base):
-                lvl = _Level(pt)
-                lvl.gens = [g for g in strong if fix_base(g, i)]
-                lvl.transversal = {pt: e}
-                frontier = [pt]
-                while frontier:
-                    b = frontier.pop()
-                    t = lvl.transversal[b]
-                    for g in lvl.gens:
-                        c = g[b]
-                        if c not in lvl.transversal:
-                            lvl.transversal[c] = mult(t, g)
-                            frontier.append(c)
-                levels.append(lvl)
-            return levels
-
-        def strip(g: Perm, levels, start: int) -> Perm:
-            for lvl in levels[start:]:
-                b = g[lvl.point]
-                if b not in lvl.transversal:
-                    return g
-                g = mult(g, inverse(lvl.transversal[b]))
-            return g
-
-        while True:
-            levels = build_levels()
-            residue = None
-            for i, lvl in enumerate(levels):
-                for b, t in lvl.transversal.items():
-                    for g in lvl.gens:
-                        sg = mult(mult(t, g), inverse(lvl.transversal[g[b]]))
-                        if sg == e:
-                            continue
-                        res = strip(sg, levels, i + 1)
-                        if res != e:
-                            residue = res
-                            break
-                    if residue:
-                        break
-                if residue:
-                    break
-            if residue is None:
-                self._chain = levels
-                return
-            strong.append(residue)
-            if fix_base(residue, len(base)):
-                extend_base(residue)
+        dtype = np.min_scalar_type(max(self.degree - 1, 0))
+        levels: list[_Level] = []
+        for g in self.generators:
+            hit = _sift(levels, 0, np.array([g], dtype))
+            if hit is None:
+                continue
+            i = _add_residue(levels, hit, -1)
+            while i >= 0:
+                hit = _schreier_residue(levels, i)
+                i = i - 1 if hit is None else _add_residue(levels, hit, i)
+        self._chain = levels
 
     def order(self) -> int:
         self._build_chain()
         out = 1
         for lvl in self._chain:
-            out *= len(lvl.transversal)
+            out *= len(lvl.orbit)
         return out
 
     def __contains__(self, p) -> bool:
@@ -148,19 +101,106 @@ class PermGroup:
         if not is_perm(p, self.degree):
             return False
         self._build_chain()
-        for lvl in self._chain:
-            b = p[lvl.point]
-            if b not in lvl.transversal:
-                return False
-            p = mult(p, inverse(lvl.transversal[b]))
-        return p == identity(self.degree)
+        return _sift(self._chain, 0, np.array([p])) is None
 
 
-@dataclass
 class _Level:
-    point: int
-    gens: list[Perm] = field(default_factory=list)
-    transversal: dict[int, Perm] = field(default_factory=dict)
+    """One level of a stabilizer chain: the base point, its orbit under
+    the level's strong generators, and per orbit point x (row pos[x]) a
+    representative u with u[point] = x and its inverse."""
+
+    def __init__(self, point: int, n: int, dtype):
+        self.point = point
+        self.gens: list[np.ndarray] = []
+        # per generator: the orbit prefix whose Schreier generators sifted
+        self.checked: list[int] = []
+        self.orbit = np.array([point])
+        self.pos = np.full(n, -1)
+        self.pos[point] = 0
+        self.u = np.arange(n, dtype=dtype)[None]
+        self.uinv = self.u
+
+    def add_gen(self, s: np.ndarray):
+        """Add strong generator s and extend the orbit: s on every old
+        point first, then every generator on the points just found."""
+        self.gens.append(s)
+        self.checked.append(0)
+        start, gens = 0, [s]
+        u, uinv = [self.u], [self.uinv]  # u[-1]: the rows from `start` on
+        while start < len(self.orbit):
+            rows = np.arange(start, len(self.orbit))
+            start = len(self.orbit)
+            new_u, new_uinv = [], []
+            for t in gens:
+                img = t[self.orbit[rows]]
+                fresh = self.pos[img] < 0
+                img, first = np.unique(img[fresh], return_index=True)
+                src = rows[fresh][first] - rows[0]
+                self.pos[img] = np.arange(len(self.orbit), len(self.orbit) + len(img))
+                self.orbit = np.concatenate([self.orbit, img])
+                new_u.append(t[u[-1][src]])  # u_x, then t
+                new_uinv.append(uinv[-1][src][:, np.argsort(t)])  # t^-1, then u_x^-1
+            u.append(np.concatenate(new_u))
+            uinv.append(np.concatenate(new_uinv))
+            gens = self.gens
+        self.u, self.uinv = np.concatenate(u), np.concatenate(uinv)
+
+
+def _schreier_residue(levels: list[_Level], i: int):
+    """Sift level i's unchecked Schreier generators u_x * s * u_{s(x)}^-1
+    through the levels below it, one strong generator s (all orbit
+    points x at once) at a time; return the first that does not sift,
+    as `_sift` does, or None."""
+    lvl = levels[i]
+    for k, s in enumerate(lvl.gens):
+        done = lvl.checked[k]
+        if done == len(lvl.orbit):
+            continue
+        dest = lvl.pos[s[lvl.orbit[done:]]]
+        hit = _sift(levels, i + 1, lvl.uinv[dest[:, None], s[lvl.u[done:]]])
+        lvl.checked[k] = len(lvl.orbit) if hit is None else done + hit[0] + 1
+        if hit is not None:
+            return hit
+    return None
+
+
+def _sift(levels: list[_Level], start: int, batch: np.ndarray):
+    """Sift the rows of `batch` through levels[start:].
+
+    Returns None if every row sifts to the identity, else (row, residue,
+    j) for the first row that does not: its partly sifted image and the
+    level j it dropped out at (len(levels) if it sifted through all of
+    them without reaching the identity).  Rows after a dropped row are
+    cut from the batch, since only the first failure is wanted.
+    """
+    hit = None
+    for j in range(start, len(levels)):
+        lvl = levels[j]
+        rows = lvl.pos[batch[:, lvl.point]]
+        out = rows < 0
+        if out.any():
+            r = int(out.argmax())
+            hit = (r, batch[r].copy(), j)
+            batch, rows = batch[:r], rows[:r]
+        batch = lvl.uinv[rows[:, None], batch]
+    moved = (batch != np.arange(batch.shape[1])).any(axis=1)
+    if moved.any():
+        r = int(moved.argmax())
+        return r, batch[r].copy(), len(levels)
+    return hit
+
+
+def _add_residue(levels: list[_Level], hit, i: int) -> int:
+    """Add the residue h of a `_sift` hit to levels i+1..j, where j is
+    the level it dropped out at (a new level, based at the first point h
+    moves, if j is past the last); return j."""
+    _, h, j = hit
+    if j == len(levels):
+        n = len(h)
+        levels.append(_Level(int(np.flatnonzero(h != np.arange(n))[0]), n, h.dtype))
+    for lvl in levels[i + 1:j + 1]:
+        lvl.add_gen(h)
+    return j
 
 
 def translations(n: int) -> PermGroup:

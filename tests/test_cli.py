@@ -66,6 +66,10 @@ def test_witness_command(capsys, tmp_path):
     assert ring_from_document(on_disk).key() == witness(8, 9).key()
     code, _, err = run(capsys, "witness", "6", "5")
     assert code == EXIT_INPUT and "omega_star" in err
+    for n1, n2 in (("-8", "9"), ("8", "-9"), ("0", "9")):
+        code, out, err = run(capsys, "witness", n1, n2)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: witness parts must be positive, got {n1} and {n2}\n"
 
     out120 = tmp_path / "w120.json"
     code, _, _ = run_json(capsys, "witness", "8", "15", "-o", str(out120), "--json")

@@ -91,6 +91,70 @@ def test_membership_products_and_nonmembers():
                 misses += 1
 
 
+def from_cycles(n, *cycles):
+    """The permutation of {0..n-1} with the given 1-based cycles."""
+    p = list(range(n))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            p[a - 1] = b - 1
+    return tuple(p)
+
+
+def random_word(rng, gens):
+    w = identity(len(gens[0]))
+    for _ in range(rng.randrange(1, 12)):
+        w = mult(w, rng.choice(gens))
+    return w
+
+
+M11_GENS = [from_cycles(11, tuple(range(1, 12))), from_cycles(11, (3, 7, 11, 8), (4, 10, 5, 6))]
+M12_GENS = [g + (11,) for g in M11_GENS] + [
+    from_cycles(12, (1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))
+]
+
+
+def test_order_of_symmetric_and_alternating_groups():
+    for k in range(1, 11):
+        assert group_order(PermGroup(k, sym_group_gens(k))) == math.factorial(k)
+        three_cycles = [from_cycles(k, (1, 2, i)) for i in range(3, k + 1)]
+        assert group_order(PermGroup(k, three_cycles)) == max(math.factorial(k) // 2, 1)
+
+
+def test_order_of_cyclic_groups_with_mixed_cycle_lengths():
+    # the powers of one generator fixing the first base point are themselves
+    # a residue, whose own level needs checking: order lcm(cycle lengths)
+    for cycles in [((1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11, 12)),
+                   ((1, 2), (3, 4, 5), (6, 7, 8, 9, 10)),
+                   ((1, 2, 3, 4), (5, 6, 7, 8, 9, 10))]:
+        n = max(max(c) for c in cycles)
+        want = math.lcm(*(len(c) for c in cycles))
+        assert group_order(PermGroup(n, [from_cycles(n, *cycles)])) == want
+
+
+def test_order_of_imprimitive_wreath_product():
+    # Sym(3) wr Sym(4) on 12 points: Sym(3) on the block {1, 2, 3}, and
+    # Sym(4) permuting the blocks {1,2,3}, {4,5,6}, {7,8,9}, {10,11,12}
+    base = [from_cycles(12, (1, 2)), from_cycles(12, (1, 2, 3))]
+    top = [from_cycles(12, (1, 4), (2, 5), (3, 6)),
+           from_cycles(12, (1, 4, 7, 10), (2, 5, 8, 11), (3, 6, 9, 12))]
+    G = PermGroup(12, base + top)
+    assert group_order(G) == 6**4 * 24 == 31104
+    assert from_cycles(12, (10, 11, 12)) in G
+    assert from_cycles(12, (3, 4)) not in G
+
+
+def test_order_and_membership_of_mathieu_groups():
+    rng = random.Random(7)
+    for n, gens, order in ((11, M11_GENS, 7920), (12, M12_GENS, 95040)):
+        G = PermGroup(n, gens)
+        assert group_order(G) == order
+        for _ in range(50):
+            assert random_word(rng, gens) in G
+        assert from_cycles(n, (1, 2)) not in G
+        assert from_cycles(n, (5, 9)) not in G
+    assert M12_GENS[2] not in PermGroup(12, M12_GENS[:2])
+
+
 def test_point_stabilizer_orbits_examples():
     assert point_stabilizer_orbits(translations(6), 0) == [
         (0,), (1,), (2,), (3,), (4,), (5,)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import is_color_automorphism
+from schurring.arith import classify
 from schurring.catalog import enumerate_srings
 from schurring.construct import cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
@@ -54,8 +55,12 @@ def test_automorphism_group_generators_preserve_colors():
 
 def test_stabilizer_chain_is_checked_independently():
     # the search's generators against PermGroup's own Schreier-Sims and a
-    # direct color check, not against the search's own bookkeeping
-    rings = [A for n in range(1, 17) for A in enumerate_srings(n).rings] + [witness(8, 9)]
+    # direct color check, not against the search's own bookkeeping, over the
+    # catalogs n <= 16 and the 14 witness rings 72 <= n <= 300
+    witnesses = [witness(*classify(n).nonschur_split) for n in range(72, 301)
+                 if classify(n).nonschur_split]
+    assert len(witnesses) == 14
+    rings = [A for n in range(1, 17) for A in enumerate_srings(n).rings] + witnesses
     for A in rings:
         data = _aut_data(A)
         for g in data.stabilizer_gens:
