@@ -14,7 +14,6 @@ from schurring import (
     automorphism_group,
     cyclotomic,
     gen_wreath,
-    group_order,
     k_m,
     perm_gen_wreath,
 )
@@ -29,10 +28,10 @@ def dihedral(n):
 
 
 d4 = dihedral(4)
-print(f"Delta_1 = Delta_0 = dihedral on Z_4, order {group_order(d4)}")
+print(f"Delta_1 = Delta_0 = dihedral on Z_4, order {d4.order()}")
 
 G = perm_gen_wreath(d4, d4, 8, 4, 2)
-print(f"wreath product on Z_8: order {group_order(G)}")
+print(f"wreath product on Z_8: order {G.order()}")
 for g in G.generators:
     print(f"  generator {g}")
 
@@ -40,7 +39,7 @@ A = gen_wreath(cyclotomic(k_m(4)), cyclotomic(k_m(4)), 2)
 print(f"\nmatching S-ring over Z_8: {[list(c) for c in A.classes]}")
 
 aut = automorphism_group(A)
-print(f"aut(A) order: {group_order(aut)}")
+print(f"aut(A) order: {aut.order()}")
 
 ok = all(
     color(A, x, y) == color(A, g[x], g[y])

@@ -31,7 +31,7 @@ from .construct import (
     witness,
     witness_detailed,
 )
-from .perm import PermGroup, group_order, is_normal_subgroup, perm_gen_wreath, point_stabilizer_orbits, translations
+from .perm import PermGroup, is_normal_subgroup, perm_gen_wreath, translations
 from .schurity import (
     SchurityVerdict,
     automorphism_group,

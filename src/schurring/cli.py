@@ -152,14 +152,12 @@ def cmd_analyze(args) -> int:
     A, code = _load_ring(args.file)
     if A is None:
         return code
-    rad = sring_mod.radical(A)
     K = sring_mod.is_cyclotomic(A)
     report = {
         "n": A.n,
         "rank": A.rank,
         "a_groups": sring_mod.a_groups(A),
-        "radical": rad.ring_radical,
-        "radical_well_defined": rad.well_defined,
+        "radical": sring_mod.radical(A).ring_radical,
         "dense": sring_mod.is_dense(A),
         "quasidense": sring_mod.is_quasidense(A),
         "primitive": sring_mod.is_primitive(A),

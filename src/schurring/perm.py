@@ -210,10 +210,6 @@ def translations(n: int) -> PermGroup:
     return PermGroup(n, [tuple((x + 1) % n for x in range(n))])
 
 
-def group_order(gamma: PermGroup) -> int:
-    return gamma.order()
-
-
 def orbits_of_perms(n: int, perms: Iterable[Perm]) -> list[tuple[int, ...]]:
     """Orbit partition of {0..n-1} under a set of permutations."""
     parent = list(range(n))
@@ -233,25 +229,6 @@ def orbits_of_perms(n: int, perms: Iterable[Perm]) -> list[tuple[int, ...]]:
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
     return sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0])
-
-
-def point_stabilizer_orbits(gamma: PermGroup, x: int) -> list[tuple[int, ...]]:
-    """Orbits of the stabilizer of x, from Schreier generators."""
-    n = gamma.degree
-    transversal = {x: identity(n)}
-    frontier = [x]
-    schreier = []
-    while frontier:
-        b = frontier.pop()
-        t = transversal[b]
-        for g in gamma.generators:
-            c = g[b]
-            if c not in transversal:
-                transversal[c] = mult(t, g)
-                frontier.append(c)
-            else:
-                schreier.append(mult(mult(t, g), inverse(transversal[c])))
-    return orbits_of_perms(n, schreier)
 
 
 def is_normal_subgroup(gamma: PermGroup, delta: PermGroup) -> bool:

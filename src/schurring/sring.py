@@ -5,6 +5,12 @@ sets ("classes"): class 0 is exactly {0}, the partition is closed under
 negation, and for every pair of classes (X, Y) the convolution counts
 #{(x, y) in X x Y : x + y = z} are constant over each class Z.
 
+`validate` checks the product axiom one class X at a time.  Colour each
+point by its class: colour j occurs #{x in X : z - x in Y_j} times in the
+multiset z - X, the coefficient of z in X * Y_j.  So X * Y is constant on
+every class for all Y iff the sorted colours of z - X depend only on the
+class of z: one stable Weisfeiler-Leman round on the Cayley colour matrix.
+
 Canonical form is the one equality notion used everywhere: classes hold
 ascending elements and are ordered by their minimum element.
 """
@@ -13,6 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
+
 from .arith import divisors, is_prime
 from .errors import (
     NotAnAGroup,
@@ -23,6 +33,12 @@ from .errors import (
     ZeroClassNotSingleton,
 )
 from .perm import orbits_of_perms
+
+# The product check sorts one block of (points x class size) colour cells at a
+# time.  `analyze` has no degree cap, and a 200,000-point rank-2 document would
+# otherwise ask for n^2 = 4 * 10^10 cells for its big class; 2^20 cells keep
+# each int64 array of a block at 8 MiB.
+VALIDATE_BLOCK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -61,7 +77,6 @@ class Section:
 class RadicalReport:
     per_class_radical: tuple[int, ...]
     ring_radical: int
-    well_defined: bool
 
 
 def canonical_classes(classes) -> tuple[tuple[int, ...], ...]:
@@ -78,6 +93,14 @@ def validate(n: int, classes) -> SRing:
 
     Raises NotAPartition, ZeroClassNotSingleton, NotInverseClosed or
     NotClosedUnderProduct (with the offending data) when an axiom fails.
+
+    Both closure axioms test that a per-point array is constant on every
+    class.  Negation: the colour of -z.  Constant on every class, it puts
+    -X inside one class Y and -Y inside X, so the sizes match and -X = Y.
+    Product: for each class X, the sorted colours of z - X (see the module
+    docstring); on failure, Y is the first colour whose counts differ and
+    z1 is the first point of the class.  This takes O(n^2 log n) time, in
+    blocks of at most VALIDATE_BLOCK_CELLS cells.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -97,32 +120,38 @@ def validate(n: int, classes) -> SRing:
     if canon[0] != (0,):
         raise ZeroClassNotSingleton("class of 0 must be exactly {0}")
 
-    class_of = [0] * n
-    for i, c in enumerate(canon):
-        for x in c:
-            class_of[x] = i
+    # the points class by class; each point's class starts at position start[p]
+    order = np.fromiter(chain.from_iterable(canon), np.intp, n)
+    sizes = [len(c) for c in canon]
+    offsets = np.cumsum([0] + sizes[:-1])
+    start = np.repeat(offsets, sizes)
+    C = np.empty(n, np.intp)
+    C[order] = np.repeat(np.arange(len(canon)), sizes)
 
-    for c in canon:
-        neg = tuple(sorted((-x) % n for x in c))
-        if canon[class_of[neg[0]]] != neg:
-            raise NotInverseClosed(c)
+    # each axiom: a per-point array is constant on every class, i.e. its
+    # value at position p equals its value at start[p]
+    neg = C[-order % n]
+    bad = neg != neg[start]
+    if bad.any():
+        raise NotInverseClosed(canon[C[order[bad.argmax()]]])
 
-    # structure constants: O(n^2) counting overall plus a reset per pair
-    counts = [0] * n
-    for X in canon:
-        for Y in canon:
-            for z in range(n):
-                counts[z] = 0
-            for x in X:
-                for y in Y:
-                    counts[(x + y) % n] += 1
-            for Z in canon:
-                c0 = counts[Z[0]]
-                for z in Z[1:]:
-                    if counts[z] != c0:
-                        raise NotClosedUnderProduct(X, Y, Z[0], z)
+    # rows of z - X by blocks, whose row 0 is the representative of their
+    # first point; X = {0} is skipped, as its row of z is the colour of z
+    for X, s in zip(canon[1:], offsets[1:]):
+        step = max(1, VALIDATE_BLOCK_CELLS // len(X))
+        for a in range(0, n, step):
+            pts = np.concatenate((order[start[a]:start[a] + 1], order[a:a + step]))
+            rows = C[(pts[:, None] - order[s:s + len(X)]) % n]
+            rows.sort(axis=1)
+            ref = np.maximum(start[a:a + step] - a + 1, 0)
+            bad = (rows[1:] != rows[ref]).any(axis=1)
+            if bad.any():
+                p, q = 1 + bad.argmax(), ref[bad.argmax()]
+                counts = [np.bincount(rows[i], minlength=n) for i in (p, q)]
+                y = (counts[0] != counts[1]).argmax()
+                raise NotClosedUnderProduct(X, canon[y], int(pts[q]), int(pts[p]))
 
-    return SRing(n, canon, tuple(class_of))
+    return SRing(n, canon, tuple(C.tolist()))
 
 
 def group_ring(n: int) -> SRing:
@@ -207,20 +236,14 @@ def highest_classes(A: SRing) -> list[int]:
 
 
 def radical(A: SRing) -> RadicalReport:
-    """Radical orders per class plus the ring radical from highest classes.
+    """Radical orders per class plus the ring radical.
 
-    When the highest classes disagree, well_defined is False and the ring
-    radical falls back to the order of the intersection of their radicals
-    (a gcd, since subgroups of Z_n are unique per order).
+    The ring radical is the radical of a highest class; over a cyclic
+    group all highest classes of an S-ring share one radical
+    (Evdokimov-Ponomarenko), so the first one is taken.
     """
     per_class = tuple(radical_of_class(A, i) for i in range(A.rank))
-    rads = [per_class[i] for i in highest_classes(A)]
-    if len(set(rads)) == 1:
-        return RadicalReport(per_class, rads[0], True)
-    inter = 0
-    for r in rads:
-        inter = math.gcd(inter, r)
-    return RadicalReport(per_class, inter, False)
+    return RadicalReport(per_class, per_class[highest_classes(A)[0]])
 
 
 def is_primitive(A: SRing) -> bool:

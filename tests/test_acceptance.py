@@ -23,7 +23,7 @@ from schurring.construct import (
     witness_detailed,
 )
 from schurring.errors import NotComplementary
-from schurring.perm import PermGroup, closure, group_order, perm_gen_wreath, translations
+from schurring.perm import PermGroup, closure, perm_gen_wreath, translations
 from schurring.schurity import automorphism_group, is_schurian
 from schurring.sring import (
     a_groups,
@@ -158,7 +158,7 @@ def test_criterion_08_aut_matches_exhaustive_search_up_to_7():
         for A in brute_force_enumerate(n).rings:
             brute = brute_color_automorphisms(A)
             G = automorphism_group(A)
-            same_order = group_order(G) == len(brute)
+            same_order = G.order() == len(brute)
             members = all(p in G for p in brute)
             gens_in = all(tuple(g) in set(brute) for g in G.generators)
             ok = ok and same_order and members and gens_in

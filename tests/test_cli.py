@@ -176,7 +176,8 @@ def test_schurity_budget_exit_code(capsys, tmp_path):
 
 def test_schurity_degree_cap_is_input_error(capsys, tmp_path, monkeypatch):
     r_file = write_doc(tmp_path / "big.json", rank2(MAX_SEARCH_DEGREE + 1))
-    # {0}, {x, -x}: 516 classes, slow to validate, refused before validating
+    # {0}, {x, -x}: 516 classes, refused before validating, since validating
+    # a document costs O(n^2 log n) time however large its n
     n = 1031
     pm_file = tmp_path / "pm.json"
     pm_file.write_text(json.dumps({"n": n, "classes": [[0]] + [[x, n - x] for x in range(1, n // 2 + 1)]}))

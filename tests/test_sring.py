@@ -1,9 +1,11 @@
 """The S-ring data model: validation, sections, radicals, structure flags."""
 
+import tracemalloc
+
 import pytest
 
-from schurring.arith import is_prime
-from schurring.catalog import enumerate_srings
+from schurring.arith import classify, is_prime
+from schurring.catalog import _inverse_closed_partitions, enumerate_srings
 from schurring.construct import cyclotomic, k_m, rank2, tensor, units, witness, MultiplierGroup
 from schurring.errors import (
     NotAnAGroup,
@@ -11,11 +13,13 @@ from schurring.errors import (
     NotClosedUnderProduct,
     NotComplementary,
     NotInverseClosed,
+    SchurRingError,
     ZeroClassNotSingleton,
 )
 from schurring.sring import (
     Section,
     a_groups,
+    canonical_classes,
     group_ring,
     highest_classes,
     is_cyclotomic,
@@ -33,6 +37,46 @@ from schurring.sring import (
     validate,
     wreath_decompositions,
 )
+
+
+def _validate_by_pairs(n, classes):
+    """The S-ring axioms checked pair by pair of classes, with the product
+    counts of X * Y recounted for every pair: the reference for the
+    class-function test in `validate`."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    canon = canonical_classes(classes)
+    if sum(map(len, canon)) != n:
+        raise NotAPartition("class sizes do not sum to n")
+    seen = [False] * n
+    for c in canon:
+        if not c:
+            raise NotAPartition("empty class")
+        for x in c:
+            if not 0 <= x < n or seen[x]:
+                raise NotAPartition(f"element {x} repeated or out of range")
+            seen[x] = True
+    if canon[0] != (0,):
+        raise ZeroClassNotSingleton("class of 0 must be exactly {0}")
+    class_of = [0] * n
+    for i, c in enumerate(canon):
+        for x in c:
+            class_of[x] = i
+    for c in canon:
+        neg = tuple(sorted((-x) % n for x in c))
+        if canon[class_of[neg[0]]] != neg:
+            raise NotInverseClosed(c)
+    for X in canon:
+        for Y in canon:
+            counts = [0] * n
+            for x in X:
+                for y in Y:
+                    counts[(x + y) % n] += 1
+            for Z in canon:
+                for z in Z[1:]:
+                    if counts[z] != counts[Z[0]]:
+                        raise NotClosedUnderProduct(X, Y, Z[0], z)
+
 
 # recurring example: the wreath-style ring over Z_4 and its double cover
 W4 = validate(4, [[0], [2], [1, 3]])
@@ -82,6 +126,78 @@ def test_validate_rejects_product_violation():
         validate(5, [[0], [1, 2], [3, 4]])
     err = e.value
     assert err.z1 != err.z2
+
+
+def _merged_and_split(A):
+    """Partitions next to the ring A: two non-zero classes merged, or a
+    pair {x, -x} split out of a larger class that holds both."""
+    n, cs = A.n, A.classes
+    for i in range(1, len(cs)):
+        for j in range(i + 1, len(cs)):
+            yield [c for k, c in enumerate(cs) if k not in (i, j)] + [cs[i] + cs[j]]
+    for i, c in enumerate(cs[1:], 1):
+        pairs = {tuple(sorted({x, (-x) % n})) for x in c if (-x) % n in c}
+        for pm in sorted(pairs):
+            if len(pm) < len(c):
+                yield [d for k, d in enumerate(cs) if k != i] + [pm, [y for y in c if y not in pm]]
+
+
+def _verdict(check, n, classes):
+    try:
+        check(n, classes)
+    except SchurRingError as e:
+        return e
+    return None
+
+
+def test_validate_matches_pairwise_reference():
+    partitions = [(n, [[0]] + p) for n in range(1, 13) for p in _inverse_closed_partitions(n)]
+    for A in (A for n in range(1, 37) for A in enumerate_srings(n).rings):
+        partitions += [(A.n, p) for p in _merged_and_split(A)]
+    kinds = set()
+    for n, classes in partitions:
+        got, want = _verdict(validate, n, classes), _verdict(_validate_by_pairs, n, classes)
+        assert type(got) is type(want), (n, classes)
+        kinds.add(type(got))
+        if isinstance(got, NotInverseClosed):
+            canon = canonical_classes(classes)
+            assert got.class_elements in canon, (n, classes)
+            assert tuple(sorted((-x) % n for x in got.class_elements)) not in canon, (n, classes)
+        if isinstance(got, NotClosedUnderProduct):
+            def count(z):
+                return sum((z - x) % n in got.y_class for x in got.x_class)
+
+            assert got.z1 != got.z2 and count(got.z1) != count(got.z2), (n, classes)
+    assert kinds == {type(None), NotInverseClosed, NotClosedUnderProduct}
+
+
+def test_validate_blocks_do_not_change_the_result(monkeypatch):
+    # blocks of a few rows, so most blocks start inside a class and compare
+    # against the row of a representative from an earlier block
+    partitions = [(A.n, [list(c) for c in A.classes]) for n in range(1, 25)
+                  for A in enumerate_srings(n).rings]
+    for n in range(1, 17):
+        for A in enumerate_srings(n).rings:
+            partitions += [(n, p) for p in _merged_and_split(A)]
+    whole = [_verdict(validate, n, p) for n, p in partitions]
+    monkeypatch.setattr("schurring.sring.VALIDATE_BLOCK_CELLS", 8)
+    for (n, p), want in zip(partitions, whole):
+        got = _verdict(validate, n, p)
+        assert repr(got) == repr(want), (n, p)  # the message names the payload
+
+
+def test_validate_allocation_is_bounded():
+    # a single block over the class of size 4095 would be a 4096 x 4095
+    # index array, 128 MiB
+    tracemalloc.start()
+    try:
+        assert validate(4096, [[0], list(range(1, 4096))]).rank == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    with pytest.raises(NotAPartition):
+        validate(10**12, [[0]])
 
 
 def test_a_groups_examples():
@@ -165,9 +281,16 @@ def test_highest_classes_examples():
 
 def test_radical_examples():
     assert radical(group_ring(8)).ring_radical == 1
-    r = radical(W4)
-    assert r.ring_radical == 2 and r.well_defined
+    assert radical(W4).ring_radical == 2
     assert radical(rank2(6)).ring_radical == 1
+
+
+def test_highest_classes_share_one_radical():
+    witnesses = [witness(*classify(n).nonschur_split) for n in range(72, 301)
+                 if classify(n).nonschur_split]
+    assert len(witnesses) == 14
+    for A in [A for n in range(1, 37) for A in enumerate_srings(n).rings] + witnesses:
+        assert len({radical_of_class(A, i) for i in highest_classes(A)}) == 1, A.key()
 
 
 def test_is_primitive_examples():
