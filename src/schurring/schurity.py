@@ -24,10 +24,19 @@ relative to the base, which gives both the group order (product of the
 orbit sizes along the chain) and the stabilizer orbit partition.  Orbits
 are recomputed only when a generator is added.
 
-Inside a DFS, when every unassigned point has exactly one candidate
-left, the map is forced: it is read off and accepted iff it preserves
-every color.  The budget counts nodes: one per candidate image the DFS
-tries when it branches, and one per point a forced map assigns.
+Every frame of a DFS first reads off the map nearest the identity: each
+unassigned point that is still its own candidate stays, each other one
+goes to its first candidate.  The map is accepted iff it preserves every
+color, checked on the rows of the points it moves only.  When every
+unassigned point has exactly one candidate this map is the forced one,
+and a frame whose read-off fails has nothing to branch on.  Otherwise
+the frame branches on its first unassigned point, so the worst-case
+depth is still one frame per unassigned point.  On a rank-2-like level,
+where swapping v and w and fixing every other point preserves colors,
+the first read-off succeeds, so such a level costs one frame instead of
+one recursion per point.  The budget counts nodes: one per candidate
+image the DFS tries when it branches, and one per point a read-off map
+assigns, forced or guessed.
 
 The search result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
@@ -52,10 +61,11 @@ from .sring import SRing, restrict_section, sections
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
-# The DFS recurses at most once per unassigned point, up to n - 2 frames each
-# holding an n x n bool matrix: at n = 512 that is 510 * 256 KiB, about
-# 128 MiB, and the depth stays well below Python's default recursion limit of
-# 1000.  The largest witness has n = 300.
+# In the worst case the DFS still recurses once per unassigned point, up to
+# n - 2 frames each holding an n x n bool matrix: at n = 512 that is
+# 510 * 256 KiB, about 128 MiB, and the depth stays well below Python's
+# default recursion limit of 1000.  Rank-2-like levels finish in one frame
+# (rank2(512) takes about 0.5 s).  The largest witness has n = 300.
 MAX_SEARCH_DEGREE = 512
 
 
@@ -107,21 +117,32 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
         """One automorphism extending the partial map `image` within the
         candidate matrix `cand`, or None; `image` is restored on None.
 
-        When every unassigned point has exactly one candidate the map is
-        forced: it is read off, charged one node per point it assigns and
-        accepted iff it preserves every color.  Otherwise the first
-        unassigned point branches, one node per candidate image tried.
+        First one full map is read off, charged one node per point it
+        assigns: every unassigned point that is its own candidate stays,
+        every other one goes to its first candidate.  It is accepted iff
+        it preserves every color.  If it does not and every unassigned
+        point had exactly one candidate, no map extends.  Otherwise the
+        first unassigned point branches, one node per candidate image tried.
         """
         rest = image < 0
         counts = cand[rest].sum(axis=1)
         if not counts.all():
             return None
         todo = np.flatnonzero(rest)
+        charge(todo.size)
+        full = image.copy()
+        full[todo] = todo
+        go = todo[~cand[todo, todo]]
+        full[go] = cand[go].argmax(axis=1)
+        # Pairs of fixed points keep their color, and for a fixed a and a
+        # moved b the color of (a, b) is the negation class of that of
+        # (b, a), so the rows of the moved points decide.  Preserving
+        # colors makes the map injective: equal images would give color 0.
+        moved = np.flatnonzero(full != idx)
+        if (M[full[moved]][:, full] == M[moved]).all():
+            return tuple(full.tolist())
         if (counts == 1).all():
-            charge(todo.size)
-            full = image.copy()
-            full[todo] = cand[todo].argmax(axis=1)
-            return tuple(full.tolist()) if (M[full][:, full] == M).all() else None
+            return None
         v = int(todo[0])
         for w in np.flatnonzero(cand[v]):
             charge(1)

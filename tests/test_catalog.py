@@ -105,7 +105,7 @@ def test_census_small_family_orders():
 
 @pytest.mark.skipif(
     not os.environ.get("SCHURRING_RUN_SLOW"),
-    reason="about 40 s on a 2-core machine; set SCHURRING_RUN_SLOW=1 to enable",
+    reason="about 25 s on a 2-core machine; set SCHURRING_RUN_SLOW=1 to enable",
 )
 def test_census_72_contains_nonschurian():
     rep = census(72)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from schurring.cli import (
     ring_from_document,
     ring_to_document,
 )
+from schurring.catalog import enumerate_srings
 from schurring.construct import rank2, witness
 from schurring.schurity import MAX_SEARCH_DEGREE
 from schurring.sring import group_ring
@@ -103,6 +105,56 @@ def test_malformed_documents_are_validation_failures(capsys, tmp_path, doc):
         code, out, err = run(capsys, command, str(path))
         assert code == EXIT_VALIDATION and out == ""
         assert "Traceback" not in err and "ValueError" in err
+
+
+FUZZ_SEED = 20111123
+FUZZ_DOCS = 1200
+
+
+def _mutant(rng, doc):
+    """A mutated copy of a ring document: a JSON value, maybe not a document."""
+    n = doc["n"]
+    classes = [list(c) for c in doc["classes"]]
+    junk = [1.5, "3", True, False, None, [1], {}, float("nan"), float("inf"), -1, n, 10**40]
+    kind = rng.randrange(8)
+    if kind == 0:  # a bad n
+        return {"n": rng.choice([0, -n, n - 1, n + 1, 2 * n, *junk]), "classes": classes}
+    if kind == 1:  # an element that is no int, a bool or out of range
+        c = rng.choice(classes)
+        c[rng.randrange(len(c))] = rng.choice(junk)
+    elif kind == 2 and classes:
+        del classes[rng.randrange(len(classes))]
+    elif kind == 3:
+        extra = rng.choice([[], [0], [n], [-1], list(rng.choice(classes)), [float("nan")]])
+        classes.insert(rng.randrange(len(classes) + 1), extra)
+    elif kind == 4:  # classes that are no list of lists
+        return {"n": n, "classes": rng.choice([5, "[[0]]", None, {"0": [0]}, True, float("nan"), [0, 1]])}
+    elif kind == 5:  # a top-level scalar
+        return rng.choice([5, "ring", None, True, float("nan"), float("-inf"), 1.5, []])
+    elif kind == 6 and len(classes) > 2:  # one element moved to another class
+        src, dst = rng.sample(range(1, len(classes)), 2)
+        classes[dst].append(classes[src].pop())
+    elif kind == 7:  # a key dropped or added
+        return rng.choice([{"n": n}, {"classes": classes}, {"n": n, "classes": classes, "x": 1}])
+    return {"n": n, "classes": classes}
+
+
+def test_mutated_documents_never_raise(capsys, tmp_path):
+    # seeded fuzzing of the document boundary: every mutant, valid or not,
+    # gets a coded exit and a message, never a traceback
+    rng = random.Random(FUZZ_SEED)
+    docs = [ring_to_document(A) for n in range(1, 13) for A in enumerate_srings(n).rings]
+    path = tmp_path / "fuzz.json"
+    codes = set()
+    for _ in range(FUZZ_DOCS):
+        doc = _mutant(rng, rng.choice(docs))
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "schurity"):
+            code, _, err = run(capsys, command, str(path))
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_VALIDATION), (command, doc)
+            assert "Traceback" not in err, (command, doc)
+            codes.add(code)
+    assert codes == {EXIT_OK, EXIT_INPUT, EXIT_VALIDATION}
 
 
 def test_analyze_command(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Schurity decision, automorphism groups, normality, minimality."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -152,11 +153,12 @@ def test_wreath_schurity_on_an_applicable_instance():
 
 
 def test_budget_exhaustion_raises():
-    # one node per candidate image a branch tries and one per point a forced
-    # map assigns: the smallest budget that decides each ring is pinned.
+    # one node per candidate image a branch tries and one per point a read-off
+    # map assigns, forced or guessed: the smallest budget that decides each
+    # ring is pinned.
     # The default-budget verdict is memoized on (ring, budget), so every
     # smaller budget still runs its own search.
-    for A, threshold in ((rank2(23), 231), (cyclotomic(k_m(35)), 33), (witness(8, 9), 209)):
+    for A, threshold in ((rank2(23), 231), (cyclotomic(k_m(35)), 33), (witness(8, 9), 894)):
         decided = is_schurian(A)
         with pytest.raises(SearchBudgetExceeded):
             is_schurian(A, budget=1)
@@ -173,3 +175,18 @@ def test_search_degree_cap():
     for decide in (is_schurian, aut_order, automorphism_group):
         with pytest.raises(CapExceeded):
             decide(A)
+
+
+def test_search_allocation_is_bounded():
+    # a rank-2 level is decided by its first read-off map, one frame, not by
+    # one recursion per point each holding an n x n mask
+    A = rank2(300)
+    tracemalloc.start()
+    try:
+        _aut_data.__wrapped__(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    v = is_schurian(rank2(MAX_SEARCH_DEGREE))
+    assert v.schurian and len(v.stabilizer_orbits) == 2
