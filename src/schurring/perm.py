@@ -210,25 +210,48 @@ def translations(n: int) -> PermGroup:
     return PermGroup(n, [tuple((x + 1) % n for x in range(n))])
 
 
+def merge_orbits(labels: np.ndarray, perms: Iterable[Perm]) -> np.ndarray:
+    """Orbit labels of a partition joined by x ~ p(x) for every p in perms.
+
+    `labels[x]` is the least point of x's block; so is the result's, for
+    the finest partition coarser than the blocks in which every x and
+    p(x) share a block.  Each round hooks the root of every block a
+    crossing pair (x, p(x)) touches onto the least root it is paired with,
+    then points every point at its root.  A round merges at least the
+    larger root of each crossing pair, and the least point of a component
+    is never hooked, so it ends as the component's label.
+    """
+    lab = np.array(labels, dtype=np.intp)
+    P = np.array(list(perms), dtype=np.intp).reshape(-1, lab.size)
+    while True:
+        b = lab[P]
+        cross = b != lab
+        if not cross.any():
+            return lab
+        a, b = lab[cross.nonzero()[1]], b[cross]
+        lo = np.minimum(a, b)
+        np.minimum.at(lab, a, lo)
+        np.minimum.at(lab, b, lo)
+        while True:
+            up = lab[lab]
+            if (up == lab).all():
+                break
+            lab = up
+
+
+def orbit_partition(labels: np.ndarray) -> list[tuple[int, ...]]:
+    """The blocks of a label vector whose labels are least points, each
+    sorted, in order of least point."""
+    lab = np.asarray(labels)
+    order = lab.argsort(kind="stable")
+    cuts = (np.flatnonzero(np.diff(lab[order])) + 1).tolist()
+    order = order.tolist()
+    return [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(order)])]
+
+
 def orbits_of_perms(n: int, perms: Iterable[Perm]) -> list[tuple[int, ...]]:
     """Orbit partition of {0..n-1} under a set of permutations."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i, j in enumerate(p):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0])
+    return orbit_partition(merge_orbits(np.arange(n), perms))
 
 
 def is_normal_subgroup(gamma: PermGroup, delta: PermGroup) -> bool:

@@ -4,39 +4,45 @@ comparison of identity-stabilizer orbits with basic sets.
 The Cayley color of a pair (x, y) is the class of y - x.  The color
 automorphism group always contains the translations, so its order is
 n times the order of the stabilizer of 0.  That stabilizer is found by a
-depth-first search over color-preserving injections, with numpy-based
-forward checking: assigning v -> w intersects every remaining candidate
-row with the compatibility mask M[v][:, None] == M[w][None, :].
+depth-first search whose state is two integer label vectors, `src` and
+`dst`: y is a candidate image of x iff src[x] == dst[y].  The points with
+one label form a source cell and a target cell.  Mapping x to y
+individualizes them: `src * rank + M[x]` and `dst * rank + M[y]` are
+relabelled jointly, so that x and y become a singleton cell pair and
+every other candidate keeps its colors from x and y.  A state is pruned
+unless every cell has as many sources as targets, since an automorphism
+that extends it maps each source cell onto its target cell.
 
 The stabilizer chain is built from the bottom up, as in Schreier-Sims:
 the search walks the base n-1, n-2, ..., 1.  At level v the candidate
 images of v are the points whose colors from 0..v-1 all equal v's; they
-are kept as one integer label vector per level (equal labels, same
-colors from 0..v-1), so n^2 ints in all, and the n x n candidate mask is
-built only at levels with more than one candidate.  Every generator
-found at a level above v fixes 0..v-1, so v's orbit starts as its orbit
-under all generators found so far, and only a candidate w outside that
-orbit starts a DFS, from the level's mask ANDed with the mask of (v, w).
-A DFS that fails kills w's whole orbit under the generators found so
-far: if h(w) were an image of v for some such h, w would be one too.
-The generators found form a strong generating set of the stabilizer
-relative to the base, which gives both the group order (product of the
-orbit sizes along the chain) and the stabilizer orbit partition.  Orbits
-are recomputed only when a generator is added.
+are kept as one label vector per level (equal labels, same colors from
+0..v-1), so n^2 ints in all.  Every generator found at a level above v
+fixes 0..v-1, so v's orbit starts as its orbit under all generators
+found so far, and only a candidate w outside that orbit starts a DFS,
+from the level's labels on both sides with v mapped to w.  A DFS that
+fails kills w's whole orbit under the generators found so far: if h(w)
+were an image of v for some such h, w would be one too.  The generators
+found form a strong generating set of the stabilizer relative to the
+base, which gives both the group order (product of the orbit sizes along
+the chain) and the stabilizer orbit partition.  Orbits are one label
+vector, the least point of each orbit, merged with `perm.merge_orbits`
+when a generator is added.
 
-Every frame of a DFS first reads off the map nearest the identity: each
-unassigned point that is still its own candidate stays, each other one
-goes to its first candidate.  The map is accepted iff it preserves every
-color, checked on the rows of the points it moves only.  When every
-unassigned point has exactly one candidate this map is the forced one,
-and a frame whose read-off fails has nothing to branch on.  Otherwise
-the frame branches on its first unassigned point, so the worst-case
-depth is still one frame per unassigned point.  On a rank-2-like level,
-where swapping v and w and fixing every other point preserves colors,
-the first read-off succeeds, so such a level costs one frame instead of
-one recursion per point.  The budget counts nodes: one per candidate
-image the DFS tries when it branches, and one per point a read-off map
-assigns, forced or guessed.
+Every frame of a DFS first reads off the map nearest the identity: a
+point that is one of its own cell's targets stays, and the other points
+of each cell go to its remaining targets in increasing order.  The
+equal cell sizes make this map a bijection.  It is accepted iff it
+preserves every color, checked on the rows of the points it moves only.
+When every cell is a singleton this map is the forced one, and a frame
+whose read-off fails has nothing to branch on.  Otherwise the frame
+branches on the first point of its smallest non-singleton cell, over
+that cell's targets.  On a rank-2-like level, where swapping v and w and
+fixing every other point preserves colors, the first read-off succeeds,
+so such a level costs one frame.  The budget counts nodes:
+
+- one node per candidate image the DFS tries when it branches;
+- one node per point a read-off map moves, whether it is accepted or not.
 
 The search result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
@@ -44,7 +50,7 @@ A search that runs out of budget raises and is not memoized, and a call
 with another budget is another key, so the memo never hides an overrun.
 
 Rings over more than `MAX_SEARCH_DEGREE` points are refused with
-CapExceeded before any n x n matrix is built.
+CapExceeded before the n x n color matrix is built.
 """
 
 from __future__ import annotations
@@ -56,16 +62,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
-from .perm import PermGroup, is_normal_subgroup, orbits_of_perms, translations
+from .perm import PermGroup, is_normal_subgroup, merge_orbits, orbit_partition, translations
 from .sring import SRing, restrict_section, sections
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
-# In the worst case the DFS still recurses once per unassigned point, up to
-# n - 2 frames each holding an n x n bool matrix: at n = 512 that is
-# 510 * 256 KiB, about 128 MiB, and the depth stays well below Python's
-# default recursion limit of 1000.  Rank-2-like levels finish in one frame
-# (rank2(512) takes about 0.5 s).  The largest witness has n = 300.
+# The n^2 part of the search is the int16 color matrix M and the per-level
+# label vectors: at n = 512 about 0.5 MiB and 2 MiB.  A DFS frame holds two
+# n-vectors, and the depth is at most one frame per point, well below
+# Python's default recursion limit of 1000.  Rank-2-like levels finish in
+# one frame.  The largest witness has n = 300.  Raising the cap waits on a
+# size bound for `PermGroup`: its Schreier-Sims on Sym(60) already takes
+# seconds, and `automorphism_group(rank2(n))` is Sym(n).
 MAX_SEARCH_DEGREE = 512
 
 
@@ -95,6 +103,18 @@ class _AutData:
     stabilizer_orbits: tuple[tuple[int, ...], ...]
 
 
+def _relabel(keys: np.ndarray) -> np.ndarray:
+    """Dense labels 0..k-1 of `keys`, equal iff the keys are, in key order."""
+    order = keys.argsort()
+    ranked = keys[order]
+    step = np.empty(keys.size, dtype=np.intp)
+    step[0] = 0
+    np.not_equal(ranked[1:], ranked[:-1], out=step[1:])
+    out = np.empty(keys.size, dtype=np.intp)
+    out[order] = step.cumsum()
+    return out
+
+
 @functools.lru_cache(maxsize=AUT_MEMO_SIZE)
 def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -105,6 +125,7 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
     C = np.asarray(A.class_of, dtype=np.int16)
     idx = np.arange(n)
     M = C[(idx[None, :] - idx[:, None]) % n]  # M[x, y] = color(x, y)
+    rank = A.rank
     nodes = 0
 
     def charge(k):
@@ -113,44 +134,49 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
         if nodes > budget:
             raise SearchBudgetExceeded("automorphism search node budget exhausted")
 
-    def extend(cand, image):
-        """One automorphism extending the partial map `image` within the
-        candidate matrix `cand`, or None; `image` is restored on None.
+    def individualize(src, dst, x, y):
+        """The cells after mapping x to y: both sides refined by the colors
+        from x and from y, relabelled jointly so that equal labels still
+        pair sources with targets."""
+        both = _relabel(np.concatenate((src * rank + M[x], dst * rank + M[y])))
+        return both[:n], both[n:]
 
-        First one full map is read off, charged one node per point it
-        assigns: every unassigned point that is its own candidate stays,
-        every other one goes to its first candidate.  It is accepted iff
-        it preserves every color.  If it does not and every unassigned
-        point had exactly one candidate, no map extends.  Otherwise the
-        first unassigned point branches, one node per candidate image tried.
+    def extend(src, dst):
+        """One color automorphism g with src[x] == dst[g[x]] for every x,
+        as an index array, or None.
+
+        The points labelled c in `src` are cell c's sources, those
+        labelled c in `dst` its targets.  Unless every cell has as many
+        sources as targets, no g exists.  Otherwise one map is read off,
+        charged one node per point it moves: a point with src[x] == dst[x]
+        stays, and the movers (src[x] != dst[x]) of each cell go to the
+        cell's other targets, both in increasing order, which pairs them
+        one to one.  It is accepted iff it preserves every color.  If not,
+        and every cell is a singleton, no g exists; otherwise the first
+        point of the smallest non-singleton cell (lowest label on a tie)
+        branches over the cell's targets, one node per target tried.
         """
-        rest = image < 0
-        counts = cand[rest].sum(axis=1)
-        if not counts.all():
+        sizes = np.bincount(src)
+        if not np.array_equal(sizes, np.bincount(dst)):
             return None
-        todo = np.flatnonzero(rest)
-        charge(todo.size)
-        full = image.copy()
-        full[todo] = todo
-        go = todo[~cand[todo, todo]]
-        full[go] = cand[go].argmax(axis=1)
+        movers = (src != dst).nonzero()[0]
+        charge(movers.size)
+        full = idx.copy()
+        full[movers[src[movers].argsort(kind="stable")]] = movers[dst[movers].argsort(kind="stable")]
         # Pairs of fixed points keep their color, and for a fixed a and a
         # moved b the color of (a, b) is the negation class of that of
-        # (b, a), so the rows of the moved points decide.  Preserving
-        # colors makes the map injective: equal images would give color 0.
-        moved = np.flatnonzero(full != idx)
-        if (M[full[moved]][:, full] == M[moved]).all():
-            return tuple(full.tolist())
-        if (counts == 1).all():
+        # (b, a), so the rows of the moved points decide.
+        if (M[full[movers]][:, full] == M[movers]).all():
+            return full
+        if sizes.max() == 1:
             return None
-        v = int(todo[0])
-        for w in np.flatnonzero(cand[v]):
+        cell = np.where(sizes > 1, sizes, n + 1).argmin()
+        x = int((src == cell).argmax())
+        for y in (dst == cell).nonzero()[0].tolist():
             charge(1)
-            image[v] = w
-            found = extend(cand & (M[v][:, None] == M[w][None, :]), image)
+            found = extend(*individualize(src, dst, x, y))
             if found is not None:
                 return found
-        image[v] = -1
         return None
 
     # labels[v][x] == labels[v][y] iff x and y have equal colors from each
@@ -159,45 +185,32 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
     labels = [np.zeros(n, dtype=np.intp)]
     while len(labels) < n and labels[-1].max() < n - 1:
         v = len(labels) - 1
-        labels.append(np.unique(labels[-1] * A.rank + M[v], return_inverse=True)[1])
+        labels.append(_relabel(labels[-1] * rank + M[v]))
 
     gens: list[tuple[int, ...]] = []
-    orbits = [(x,) for x in range(n)]  # under gens, as orbits_of_perms gives them
-    orbit = list(orbits)  # orbit[x]: the one containing x, one tuple object per orbit
+    orb = idx  # orb[x]: the least point of x's orbit under gens
     order = n
     # Reverse base: every generator found at a level above v fixes 0..v-1,
     # so v's orbit under the stabilizer of 0..v-1 starts as its orbit
     # under all of gens, and the generators end up a strong generating set.
     for v in range(len(labels) - 1, 0, -1):
         lab = labels[v]
-        cands = np.flatnonzero(lab == lab[v])
-        if cands.size > 1:
-            fixed = lab[:, None] == lab[None, :]
-            dead = set()
-            for w in cands.tolist():
-                if orbit[w] is orbit[v] or w in dead:
-                    continue
-                image = np.where(idx < v, idx, -1)
-                image[v] = w
-                f = extend(fixed & (M[v][:, None] == M[w][None, :]), image)
-                if f is None:
-                    # h(w) for h in the group found so far is no image of v
-                    # either, or w would be one
-                    dead.update(orbit[w])
-                    continue
-                gens.append(f)
-                # the orbits under gens + [f] are those under f and a
-                # permutation cycling each orbit under gens
-                cycle = list(range(n))
-                for o in orbits:
-                    for i, x in enumerate(o):
-                        cycle[x] = o[i - 1]
-                orbits = orbits_of_perms(n, (cycle, f))
-                for o in orbits:
-                    for x in o:
-                        orbit[x] = o
-        order *= len(orbit[v])
-    return _AutData(tuple(gens), order, tuple(orbits))
+        # the candidates outside v's orbit and every orbit killed so far
+        todo = (lab == lab[v]).nonzero()[0]
+        todo = todo[orb[todo] != orb[v]]
+        while todo.size:
+            w = int(todo[0])
+            f = extend(*individualize(lab, lab, v, w))
+            if f is None:
+                # h(w) for h in the group found so far is no image of v
+                # either, or w would be one
+                todo = todo[orb[todo] != orb[w]]
+                continue
+            gens.append(tuple(f.tolist()))
+            orb = merge_orbits(orb, (f,))
+            todo = todo[orb[todo] != orb[v]]
+        order *= int(np.count_nonzero(orb == orb[v]))
+    return _AutData(tuple(gens), order, tuple(orbit_partition(orb)))
 
 
 def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:

@@ -1,8 +1,9 @@
 """Enumeration of all S-rings over Z_n and the schurity census."""
 
-import os
+import json
 
 import pytest
+from test_verdict_digests import CENSUS_72_PATH, census_entry
 
 from schurring import catalog as catalog_mod
 from schurring.catalog import (
@@ -103,11 +104,11 @@ def test_census_small_family_orders():
         assert len(rep.entries) == rep.total
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SCHURRING_RUN_SLOW"),
-    reason="about 25 s on a 2-core machine; set SCHURRING_RUN_SLOW=1 to enable",
-)
 def test_census_72_contains_nonschurian():
+    # every ring over Z_72 is decided, and (key, aut order, stabilizer
+    # orbits) match the digest written by the earlier mask-based search
     rep = census(72)
     assert rep.schurian_count < rep.total
     assert rep.first_nonschurian is not None
+    frozen = json.loads(CENSUS_72_PATH.read_text(encoding="utf-8"))
+    assert census_entry(rep) == frozen

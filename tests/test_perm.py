@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -18,7 +19,10 @@ from schurring.perm import (
     identity,
     inverse,
     is_normal_subgroup,
+    merge_orbits,
     mult,
+    orbit_partition,
+    orbits_of_perms,
     perm_gen_wreath,
     translations,
 )
@@ -63,6 +67,75 @@ def test_order_against_brute_closure_random():
         gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
         G = PermGroup(n, gens)
         assert G.order() == len(closure(n, gens))
+
+
+def orbits_by_union_find(n, perms, blocks=()):
+    """The union-find orbit routine that `merge_orbits` replaced, kept as its
+    reference: the blocks joined by x ~ p(x), each sorted, by least point."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for b in blocks:
+        for x in b[1:]:
+            union(b[0], x)
+    for p in perms:
+        for i, j in enumerate(p):
+            union(i, j)
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0])
+
+
+def random_perm(rng, n):
+    """A shuffle, a few transpositions, or one long cycle in random order."""
+    p = list(range(n))
+    kind = rng.randrange(3)
+    if kind == 0:
+        rng.shuffle(p)
+    elif kind == 1:
+        for _ in range(rng.randrange(4)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            p[i], p[j] = p[j], p[i]
+    else:
+        cyc = rng.sample(range(n), rng.randint(1, n))
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            p[a] = b
+    return tuple(p)
+
+
+def random_blocks(rng, n):
+    points = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(n))) if n > 1 else []
+    return [points[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def test_orbit_labels_match_union_find():
+    rng = random.Random(5)
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        perms = [random_perm(rng, n) for _ in range(rng.randrange(4))]
+        assert orbits_of_perms(n, perms) == orbits_by_union_find(n, perms)
+        # incremental: merge onto a given partition, as least-point labels
+        blocks = random_blocks(rng, n)
+        labels = np.empty(n, dtype=np.intp)
+        for b in blocks:
+            labels[b] = min(b)
+        expected = orbits_by_union_find(n, perms, blocks)
+        merged = merge_orbits(labels, perms)
+        assert orbit_partition(merged) == expected
+        assert all(merged[x] == o[0] for o in expected for x in o)
+        assert orbit_partition(labels) == orbits_by_union_find(n, (), blocks)
 
 
 def test_membership_products_and_nonmembers():

@@ -154,11 +154,10 @@ def test_wreath_schurity_on_an_applicable_instance():
 
 def test_budget_exhaustion_raises():
     # one node per candidate image a branch tries and one per point a read-off
-    # map assigns, forced or guessed: the smallest budget that decides each
-    # ring is pinned.
+    # map moves: the smallest budget that decides each ring is pinned.
     # The default-budget verdict is memoized on (ring, budget), so every
     # smaller budget still runs its own search.
-    for A, threshold in ((rank2(23), 231), (cyclotomic(k_m(35)), 33), (witness(8, 9), 894)):
+    for A, threshold in ((rank2(23), 42), (cyclotomic(k_m(35)), 34), (witness(8, 9), 900)):
         decided = is_schurian(A)
         with pytest.raises(SearchBudgetExceeded):
             is_schurian(A, budget=1)
