@@ -7,7 +7,9 @@ Delta_0 while twisting each coset fibre by elements of Delta_1 whose
 section action agrees.  Here we build it for the dihedral groups on
 Z_4 glued over Z_2, compare with the automorphism group of the
 corresponding S-ring wreath product over Z_8, and confirm that every
-generator preserves the ring's Cayley colors.
+generator preserves the ring's Cayley colors.  Then a ring over Z_36
+whose section U/L = Z_9 carries all of Sym(9): the wreath product of its
+section automorphism groups is its whole automorphism group.
 """
 
 from schurring import (
@@ -16,9 +18,12 @@ from schurring import (
     gen_wreath,
     k_m,
     perm_gen_wreath,
+    quotient,
+    restrict,
+    validate,
 )
 from schurring.perm import PermGroup
-from schurring.schurity import color
+from schurring.schurity import aut_order, color
 
 
 def dihedral(n):
@@ -49,3 +54,14 @@ ok = all(
 )
 print(f"every wreath generator preserves the colors: {ok}")
 print(f"wreath product inside aut(A): {all(g in aut for g in G.generators)}")
+
+evens = [x for x in range(2, 36, 2) if x != 18]
+B = validate(36, [[0], [18], evens, list(range(1, 36, 2))])
+d1 = automorphism_group(restrict(B, 18))  # on U = 2Z_36, relabeled Z_18
+d0 = automorphism_group(quotient(B, 2))  # on Z_36 / {0, 18}, relabeled Z_18
+H = perm_gen_wreath(d1, d0, 36, 18, 2)
+section = PermGroup(9, [tuple(g[z] % 9 for z in range(9)) for g in d1.generators])
+print(f"\nS-ring over Z_36 with class sizes {[len(c) for c in B.classes]}")
+print(f"section group of Delta_1 on U/L = Z_9: order {section.order()} (9! = 362880)")
+print(f"wreath product of the section groups: order {H.order()}")
+print(f"it is all of aut(B): {H.order() == aut_order(B)}")

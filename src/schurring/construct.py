@@ -28,7 +28,7 @@ class MultiplierGroup:
         for g in gens:
             if math.gcd(g, n) != 1:
                 raise ValueError(f"{g} is not a unit mod {n}")
-        elems = {1 % n if n == 1 else 1}
+        elems = {1 % n}
         frontier = list(elems)
         while frontier:
             x = frontier.pop()

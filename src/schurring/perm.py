@@ -3,10 +3,14 @@ and the canonical generalized wreath product of permutation groups.
 
 Permutations are tuples p of length n; p[i] is the image of i.  Products
 compose left-to-right: (p * q)(i) = q[p[i]].
+
+One Schreier-Sims routine builds the chains of `PermGroup` and of
+`perm_gen_wreath`; only `closure` lists a group's elements.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -63,30 +67,12 @@ class PermGroup:
     # -- chain ---------------------------------------------------------
 
     def _build_chain(self):
-        """Incremental Schreier-Sims, one input generator at a time.
-
-        Each generator that does not sift through the chain so far joins
-        it as a residue.  When the scan is at level i, the levels below i
-        are a base and strong generating set of the group that level
-        i + 1's generators generate, and level i sifts its unchecked
-        Schreier generators through them.  A residue joins levels
-        i + 1 .. j, where j is the level it dropped out at (a new level
-        when it sifted through all of them), and the scan resumes at
-        level j.  Orbits and representatives only grow, so a (orbit point,
-        generator) pair that sifted once is never sifted again.
-        """
+        """Build the chain with every point a possible base point."""
         if self._chain is not None:
             return
         dtype = np.min_scalar_type(max(self.degree - 1, 0))
         levels: list[_Level] = []
-        for g in self.generators:
-            hit = _sift(levels, 0, np.array([g], dtype))
-            if hit is None:
-                continue
-            i = _add_residue(levels, hit, -1)
-            while i >= 0:
-                hit = _schreier_residue(levels, i)
-                i = i - 1 if hit is None else _add_residue(levels, hit, i)
+        _schreier_sims(levels, self.generators, self.degree, dtype)
         self._chain = levels
 
     def order(self) -> int:
@@ -101,7 +87,7 @@ class PermGroup:
         if not is_perm(p, self.degree):
             return False
         self._build_chain()
-        return _sift(self._chain, 0, np.array([p])) is None
+        return _sift(self._chain, 0, np.array([p]), self.degree)[1] is None
 
 
 class _Level:
@@ -146,32 +132,77 @@ class _Level:
         self.u, self.uinv = np.concatenate(u), np.concatenate(uinv)
 
 
-def _schreier_residue(levels: list[_Level], i: int):
+def _schreier_sims(levels: list[_Level], gens: Iterable, nbase: int,
+                   dtype) -> list[np.ndarray]:
+    """Extend the chain `levels` by `gens`, by incremental Schreier-Sims
+    with base points among the first `nbase` points.
+
+    Each generator that does not sift through the chain so far joins it
+    as a residue.  When the scan is at level i, the levels below i are a
+    base and strong generating set of the group that level i + 1's
+    generators generate, and level i sifts its unchecked Schreier
+    generators through them.  A residue joins levels i + 1 .. j, where j
+    is the level it dropped out at (a new level when it sifted through all
+    of them), and the scan resumes at level j.  Orbits and
+    representatives only grow, so a (orbit point, generator) pair that
+    sifted once is never sifted again.
+
+    A residue that fixes the first nbase points sifts, so the levels are
+    a chain of the group's action on those points, and a new level is
+    based at one of them.  The residues that fix them but move a later
+    point are returned; their normal closure is the pointwise stabilizer
+    of those points (Schreier's lemma).  With nbase the degree, none is.
+    """
+    kernel: list[np.ndarray] = []
+    for g in gens:
+        rest, hit = _sift(levels, 0, np.array([g], dtype), nbase)
+        kernel.extend(_moving(rest, nbase))
+        if hit is None:
+            continue
+        i = _add_residue(levels, hit, -1)
+        while i >= 0:
+            hit = _schreier_residue(levels, i, nbase, kernel)
+            i = i - 1 if hit is None else _add_residue(levels, hit, i)
+    return kernel
+
+
+def _schreier_residue(levels: list[_Level], i: int, nbase: int,
+                      kernel: list[np.ndarray]):
     """Sift level i's unchecked Schreier generators u_x * s * u_{s(x)}^-1
     through the levels below it, one strong generator s (all orbit
     points x at once) at a time; return the first that does not sift,
-    as `_sift` does, or None."""
+    as `_sift` does, or None.  Residues that sift but move a point join
+    `kernel`."""
     lvl = levels[i]
     for k, s in enumerate(lvl.gens):
         done = lvl.checked[k]
         if done == len(lvl.orbit):
             continue
         dest = lvl.pos[s[lvl.orbit[done:]]]
-        hit = _sift(levels, i + 1, lvl.uinv[dest[:, None], s[lvl.u[done:]]])
+        rest, hit = _sift(levels, i + 1, lvl.uinv[dest[:, None], s[lvl.u[done:]]], nbase)
+        kernel.extend(_moving(rest, nbase))
         lvl.checked[k] = len(lvl.orbit) if hit is None else done + hit[0] + 1
         if hit is not None:
             return hit
     return None
 
 
-def _sift(levels: list[_Level], start: int, batch: np.ndarray):
+def _moving(rest: np.ndarray, nbase: int) -> np.ndarray:
+    """The rows of `rest`, which fix the first `nbase` points, that move
+    a later one."""
+    return rest[(rest[:, nbase:] != np.arange(nbase, rest.shape[1])).any(axis=1)]
+
+
+def _sift(levels: list[_Level], start: int, batch: np.ndarray, nbase: int):
     """Sift the rows of `batch` through levels[start:].
 
-    Returns None if every row sifts to the identity, else (row, residue,
-    j) for the first row that does not: its partly sifted image and the
+    A row sifts when its residue fixes the first `nbase` points.  Returns
+    (rest, hit): hit is None if every row sifts, else (row, residue, j)
+    for the first row that does not: its partly sifted image and the
     level j it dropped out at (len(levels) if it sifted through all of
-    them without reaching the identity).  Rows after a dropped row are
-    cut from the batch, since only the first failure is wanted.
+    them).  `rest` holds the residues of the rows before it.  Rows after
+    a dropped row are cut from the batch, since only the first failure is
+    wanted.
     """
     hit = None
     for j in range(start, len(levels)):
@@ -183,11 +214,11 @@ def _sift(levels: list[_Level], start: int, batch: np.ndarray):
             hit = (r, batch[r].copy(), j)
             batch, rows = batch[:r], rows[:r]
         batch = lvl.uinv[rows[:, None], batch]
-    moved = (batch != np.arange(batch.shape[1])).any(axis=1)
+    moved = (batch[:, :nbase] != np.arange(nbase)).any(axis=1)
     if moved.any():
         r = int(moved.argmax())
-        return r, batch[r].copy(), len(levels)
-    return hit
+        return batch[:r], (r, batch[r].copy(), len(levels))
+    return batch, hit
 
 
 def _add_residue(levels: list[_Level], hit, i: int) -> int:
@@ -287,62 +318,6 @@ def closure(n: int, gens: Iterable[Perm]) -> set[Perm]:
 # -- generalized wreath product of permutation groups -------------------
 
 
-def _section_perm(g: Perm, block: int) -> Optional[Perm]:
-    """The permutation of Z_block that g induces on residues mod `block`,
-    or None if g does not respect that congruence."""
-    m = block
-    out = [-1] * m
-    for x, y in enumerate(g):
-        r, s = x % m, y % m
-        if out[r] == -1:
-            out[r] = s
-        elif out[r] != s:
-            return None
-    return tuple(out)
-
-
-def _witness_table(degree: int, gens: list[Perm], block: int):
-    """Map each element of the section image group to one preimage.
-
-    BFS over the generators, so witnesses are deterministic.  Raises
-    SectionActionMismatch if a generator does not respect the blocks.
-    """
-    table: dict[Perm, Perm] = {}
-    e = identity(degree)
-    table[identity(block)] = e
-    frontier = [identity(block)]
-    while frontier:
-        t = frontier.pop(0)
-        w = table[t]
-        for g in gens:
-            s = _section_perm(g, block)
-            if s is None:
-                raise SectionActionMismatch(
-                    f"generator {g} does not respect blocks of size "
-                    f"{degree // block}"
-                )
-            ts = mult(t, s)
-            if ts not in table:
-                table[ts] = mult(w, g)
-                frontier.append(ts)
-    return table
-
-
-def _kernel_generators(degree: int, gens: list[Perm], block: int,
-                       table: dict[Perm, Perm]) -> list[Perm]:
-    """Generators of the kernel of the section map, by Schreier's lemma."""
-    out = []
-    e = identity(degree)
-    for t, w in table.items():
-        for g in gens:
-            s = _section_perm(g, block)
-            rep = table[mult(t, s)]
-            k = mult(mult(w, g), inverse(rep))
-            if k != e and k not in out:
-                out.append(k)
-    return out
-
-
 def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
                     n: int, u: int, l: int) -> PermGroup:
     """The canonical generalized wreath product on Z_n.
@@ -352,10 +327,13 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     common section U/L (identified with Z_{u/l}); U_right and
     (G/L)_right must be contained in the respective inputs.
 
-    The emitted generators are (i) one lift per generator of delta0,
-    with the per-coset components chosen from a deterministic witness
-    table of the section image, and (ii) the kernel of delta1's section
-    map acting on the block U alone.
+    delta1 acts on U/L + U, and its chain with base points in U/L is a
+    chain of its section image.  The section maps of delta0 sift through
+    it as one batch; the U part of each residue is the inverse of a
+    preimage.  The images are compared by order, never listed.  The
+    emitted generators are (i) one lift per generator of delta0, whose
+    per-coset components are those preimages, and (ii) the kernel of
+    delta1's section map acting on the block U alone.
     """
     if u % l or n % u:
         raise ValueError("need l | u | n")
@@ -372,48 +350,54 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     if nl > 1 and shift_nl not in delta0:
         raise ValueError("delta0 must contain the translations of Z_{n/l}")
 
-    table1 = _witness_table(u, delta1.generators or [identity(u)], ul)
+    # delta1 on U/L + U: point z < ul is the coset z + L, point ul + a is a
+    g1 = np.array(delta1.generators, dtype=np.intp).reshape(-1, u)
+    sections = g1[:, :ul] % ul
+    bad = (g1 % ul != sections[:, np.arange(u) % ul]).any(axis=1)
+    if bad.any():
+        raise SectionActionMismatch(
+            f"generator {delta1.generators[int(bad.argmax())]} does not "
+            f"respect blocks of size {l}"
+        )
+    dtype = np.min_scalar_type(ul + u - 1)
+    levels: list[_Level] = []
+    kernel = _schreier_sims(levels, np.hstack([sections, ul + g1]), ul, dtype)
+    m = len(levels)
+    order1 = math.prod(len(lvl.orbit) for lvl in levels)
+    # the kernel is the normal closure of the returned residues: fed back
+    # with every point a base point, they join the section levels, whose
+    # Schreier generators then sift their conjugates too, and level m,
+    # the first past the section levels, generates the kernel
+    _schreier_sims(levels, kernel, ul + u, dtype)
+    kernel = levels[m].gens if len(levels) > m else []
 
     # section image of delta0: Schreier generators of the stabilizer of
-    # the block U/L (cosets are residues mod n/u), restricted to U/L
-    def t_of(f0: Perm, x0: int) -> Perm:
-        x0p = f0[x0 % nl] % nu
-        out = []
-        for z in range(ul):
-            y = f0[(z * nu + x0) % nl]
-            if y % nu != x0p:
-                raise SectionActionMismatch(
-                    "delta0 does not respect the U-coset blocks"
-                )
-            out.append(((y - x0p) % nl) // nu)
-        t = tuple(out)
-        if sorted(t) != list(range(ul)):
-            raise SectionActionMismatch("induced section map is not a bijection")
-        return t
-
+    # the block U/L (cosets are residues mod n/u), restricted to U/L;
+    # y[i, z, x0] is the image of z * n/u + x0 under generator i, and
+    # generator i takes the coset x0 to the coset x0p[i, 0, x0]
     d0gens = delta0.generators or [identity(nl)]
-    image0 = closure(ul, [t_of(f0, x0) for f0 in d0gens for x0 in range(nu)])
-    image1 = set(table1)
-    if image0 != image1:
+    y = np.array(d0gens, dtype=np.intp).reshape(-1, ul, nu)
+    x0p = y[:, :1] % nu
+    if (y % nu != x0p).any():
+        raise SectionActionMismatch("delta0 does not respect the U-coset blocks")
+    ts = ((y - x0p) % nl // nu).transpose(0, 2, 1).reshape(-1, ul)
+    if (np.sort(ts, axis=1) != np.arange(ul)).any():
+        raise SectionActionMismatch("induced section map is not a bijection")
+    order0 = PermGroup(ul, ts.tolist()).order()
+    rest, hit = _sift(levels[:m], 0, np.hstack(
+        [ts, np.tile(np.arange(ul, ul + u), (len(ts), 1))]).astype(dtype), ul)
+    if hit is not None or order0 != order1:
         raise SectionActionMismatch(
             "section actions on U/L differ: "
-            f"|delta0 image| = {len(image0)}, |delta1 image| = {len(image1)}"
+            f"|delta0 image| = {order0}, |delta1 image| = {order1}"
         )
 
-    def lift(f0: Perm) -> Perm:
-        out = [-1] * n
-        for x0 in range(nu):
-            x0p = f0[x0 % nl] % nu
-            fx = table1[t_of(f0, x0)]
-            for a in range(u):
-                g = a * nu + x0
-                out[g] = fx[a] * nu + x0p
-        return tuple(out)
-
-    gens = [lift(f0) for f0 in d0gens]
-    for k in _kernel_generators(u, delta1.generators or [identity(u)], ul, table1):
-        g = list(range(n))
-        for a in range(u):
-            g[a * nu] = k[a] * nu
-        gens.append(tuple(g))
+    # lift i sends a * n/u + x0 to preimage[a] * n/u + x0p[i, 0, x0]
+    preimages = np.argsort(rest[:, ul:], axis=1).reshape(-1, nu, u)
+    lifts = preimages.transpose(0, 2, 1) * nu + x0p
+    gens = [tuple(g) for g in lifts.reshape(-1, n).tolist()]
+    for k in kernel:
+        g = np.arange(n)
+        g[::nu] = (k[ul:].astype(np.intp) - ul) * nu
+        gens.append(tuple(g.tolist()))
     return PermGroup(n, gens)

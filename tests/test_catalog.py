@@ -106,8 +106,9 @@ def test_census_small_family_orders():
 
 def test_census_72_contains_nonschurian():
     # every ring over Z_72 is decided, and (key, aut order, stabilizer
-    # orbits) match the digest written by the earlier mask-based search
-    rep = census(72)
+    # orbits) match the digest written by the earlier mask-based search;
+    # the budget is about 7x the most nodes a ring here needs (1,338,256)
+    rep = census(72, budget=10**7)
     assert rep.schurian_count < rep.total
     assert rep.first_nonschurian is not None
     frozen = json.loads(CENSUS_72_PATH.read_text(encoding="utf-8"))

@@ -11,7 +11,7 @@ from conftest import (
     is_color_automorphism,
     sym_group_gens,
 )
-from schurring.construct import cyclotomic, gen_wreath, k_m
+from schurring.construct import cyclotomic, gen_wreath, k_m, witness
 from schurring.errors import NotASubgroup, SectionActionMismatch
 from schurring.perm import (
     PermGroup,
@@ -26,7 +26,8 @@ from schurring.perm import (
     perm_gen_wreath,
     translations,
 )
-from schurring.sring import validate
+from schurring.schurity import aut_order, automorphism_group
+from schurring.sring import Section, quotient, restrict, validate, wreath_decompositions
 
 W4 = validate(4, [[0], [2], [1, 3]])
 W8 = validate(8, [[0], [4], [2, 6], [1, 3, 5, 7]])
@@ -305,3 +306,80 @@ def test_perm_gen_wreath_preconditions():
     with pytest.raises(ValueError):
         # delta1 must contain the translations of Z_u
         perm_gen_wreath(PermGroup(2, []), translations(4), 4, 2, 1)
+
+
+def section_groups(A, s):
+    return automorphism_group(restrict(A, s.u)), automorphism_group(quotient(A, s.l))
+
+
+def test_perm_gen_wreath_with_a_symmetric_section():
+    # U/L = Z_9 with section group Sym(9): the section image has 9! elements,
+    # and the wreath product of the section groups is the whole of aut(A)
+    evens = [x for x in range(2, 36, 2) if x != 18]
+    A = validate(36, [[0], [18], evens, list(range(1, 36, 2))])
+    G = perm_gen_wreath(*section_groups(A, Section(18, 2)), 36, 18, 2)
+    assert G.order() == aut_order(A) == 69_039_237_051_187_200
+    assert all(is_color_automorphism(A, g) for g in G.generators)
+
+
+def test_perm_gen_wreath_of_a_minimal_nonschurian_ring_mismatches():
+    # the witnesses are minimal non-schurian, so by the Evdokimov-Ponomarenko
+    # criterion the automorphism groups of their (schurian) sections induce
+    # different groups on U/L at every wreath decomposition
+    for w in (witness(8, 9), witness(12, 25)):
+        decompositions = wreath_decompositions(w)
+        assert decompositions
+        for s in decompositions:
+            with pytest.raises(SectionActionMismatch,
+                               match=r"\|delta0 image\| = \d+, \|delta1 image\| = \d+"):
+                perm_gen_wreath(*section_groups(w, s), w.n, s.u, s.l)
+
+
+def test_perm_gen_wreath_section_images_of_equal_order_differ():
+    # the maps z -> az + b of Z_8 with a in {1, 3} and with a in {1, 5}:
+    # two groups of order 16, told apart by membership, not by order
+    delta1 = PermGroup(16, [translations(16).generators[0], tuple(3 * x % 16 for x in range(16))])
+    delta0 = PermGroup(8, [translations(8).generators[0], tuple(5 * x % 8 for x in range(8))])
+    with pytest.raises(SectionActionMismatch, match=r"= 16, \|delta1 image\| = 16"):
+        perm_gen_wreath(delta1, delta0, 16, 16, 2)
+
+
+def random_block_perm(rng, u, ul):
+    """A random permutation of Z_u that permutes the residues mod ul: a
+    whole random block map, or one transposition inside a block."""
+    if rng.randrange(2):
+        x = rng.randrange(u)
+        return from_cycles(u, (x + 1, (x + ul) % u + 1))
+    sigma = rng.sample(range(ul), ul)
+    p = [0] * u
+    for z in range(ul):
+        targets = rng.sample(range(sigma[z], u, ul), u // ul)
+        for x, y in zip(range(z, u, ul), targets):
+            p[x] = y
+    return tuple(p)
+
+
+def test_perm_gen_wreath_kernel_and_image_make_delta1():
+    # delta1 on U = Z_u permutes the residues mod u/l; delta0 on G/L =
+    # Z_{2u/l} moves the two U-cosets and induces delta1's section image on
+    # each, so the wreath product is delta0 with the kernel on both cosets
+    rng = random.Random(11)
+    for _ in range(40):
+        ul, l = rng.choice([(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (5, 2)])
+        u, nl = ul * l, 2 * ul
+        delta1 = PermGroup(u, [tuple((x + 1) % u for x in range(u))]
+                           + [random_block_perm(rng, u, ul) for _ in range(rng.randint(1, 3))])
+        sections = [tuple(g[z] % ul for z in range(ul)) for g in delta1.generators]
+        image = PermGroup(ul, sections)
+        delta0 = PermGroup(nl, [tuple((x + 1) % nl for x in range(nl))] + [
+            tuple(2 * t[x // 2] if x % 2 == 0 else x for x in range(nl)) for t in sections
+        ])
+        G = perm_gen_wreath(delta1, delta0, 2 * u, u, l)
+        # the kernel generators act on U (the even points) alone and fix
+        # every coset of L
+        kernel = [k for k in (tuple(g[2 * a] // 2 for a in range(u)) for g in G.generators
+                              if all(g[x] == x for x in range(1, 2 * u, 2)))
+                  if all((k[a] - a) % ul == 0 for a in range(u))]
+        assert all(k in delta1 for k in kernel)
+        assert image.order() * PermGroup(u, kernel).order() == delta1.order()
+        assert G.order() == delta0.order() * (delta1.order() // image.order()) ** 2

@@ -62,11 +62,14 @@ def test_stabilizer_chain_is_checked_independently():
                  if classify(n).nonschur_split]
     assert len(witnesses) == 14
     rings = [A for n in range(1, 17) for A in enumerate_srings(n).rings] + witnesses
+    # about 9x the most nodes any of these rings needs (11,272, witness(8, 33)),
+    # so a search gone wrong fails here instead of burning the default budget
+    budget = 10**5
     for A in rings:
-        data = _aut_data(A)
+        data = _aut_data(A, budget)
         for g in data.stabilizer_gens:
             assert g[0] == 0 and is_color_automorphism(A, g)
-        assert automorphism_group(A).order() == aut_order(A) == data.order
+        assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order
         assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == data.stabilizer_orbits
 
 
