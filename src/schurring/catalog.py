@@ -4,10 +4,10 @@
 primitives under tensor and generalized wreath products, bottom-up over
 the divisor lattice.  The wreath step is a hash join on section keys:
 each divisor's rings are indexed once by their quotient and restriction
-sections, and only pairs whose sections agree are glued.  A product's
-canonical key is computed before validation, so `validate` runs once per
-distinct ring rather than once per construction.
-`brute_force_enumerate` is the independent oracle:
+sections, and only pairs whose sections agree are glued.  Sections are
+looked up by key among the catalog rings of smaller order, and a
+product's key is computed before validation, so `validate` runs once
+per distinct ring.  `brute_force_enumerate` is the independent oracle:
 it walks all negation-closed partitions of Z_n \\ {0} and filters by the
 axiom validator.  `census` joins a catalog with the schurity decision
 and checks the result against the arithmetic classification.
@@ -24,13 +24,12 @@ from .construct import (
     MultiplierGroup,
     cyclotomic,
     gen_wreath_classes,
-    rank2,
     tensor_classes,
     units,
     witness,
 )
 from .errors import CapExceeded, SchurRingError
-from .sring import SRing, a_groups, canonical_classes, quotient, restrict, validate
+from .sring import SRing, a_groups, canonical_classes, quotient_classes, restrict_classes, validate
 from .schurity import SchurityVerdict, is_schurian
 
 DEFAULT_CAP = 72
@@ -60,17 +59,16 @@ class CensusReport:
 
 
 def unit_subgroups(n: int) -> list[MultiplierGroup]:
-    """All subgroups of the unit group of Z_n (closure-of-subsets fixpoint)."""
-    us = units(n)
-    groups = {MultiplierGroup.from_generators(n, []).elements}
-    frontier = list(groups)
-    while frontier:
-        elems = frontier.pop()
-        for u in us:
-            bigger = MultiplierGroup.from_generators(n, list(elems) + [u]).elements
-            if bigger not in groups:
-                groups.add(bigger)
-                frontier.append(bigger)
+    """All subgroups of the unit group of Z_n, in one pass over the units:
+    after u, every subgroup generated by units up to u is present, as the
+    product set H<u> for H generated by smaller units (H itself if u in H)."""
+    one = 1 % n
+    groups = {(one,)}
+    for u in units(n):
+        cyc = [one]  # <u>
+        while cyc[-1] * u % n != one:
+            cyc.append(cyc[-1] * u % n)
+        groups |= {tuple(sorted({h * c % n for h in H for c in cyc})) for H in groups if u not in H}
     return [MultiplierGroup(n, g, g) for g in sorted(groups, key=lambda g: (len(g), g))]
 
 
@@ -93,15 +91,14 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     subgroup, the rings of order n1 by their quotient by the order-n1/m
     subgroup, and only rings in groups with equal sections are glued.
     Every product's canonical key is computed first, and `validate` runs
-    once per distinct ring.  Each section is computed (and validated) by
-    the public `quotient`/`restrict` once per ring and subgroup order, and
-    stored as the integer id of its key, so the memos, local to this call,
-    hold no ring data of their own.
+    once per distinct ring.  Sections are S-rings of smaller order, so
+    their classes (`quotient_classes`/`restrict_classes`, once per ring and
+    subgroup order) are looked up by key, not validated; a miss raises
+    KeyError.  The memos, local to this call, hold only ring ids.
     """
     if n > cap:
         raise CapExceeded(f"n={n} exceeds cap {cap}")
-    # canonical key -> id, for every ring built and every section seen; a
-    # section's order is below the divisor being built, so it never hides a new ring
+    # canonical key -> id, for every catalog ring of the divisors built so far
     ids: dict[tuple, int] = {}
     per_divisor: dict[int, list[SRing]] = {}
     a_groups_of: dict[int, list[list[int]]] = {}
@@ -109,7 +106,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
 
     def by_section(section, order: int, sub: int) -> dict[int, list[SRing]]:
         """Rings of `order` having an A-group of order `sub`, grouped by
-        the id of their section `section(A, sub)`."""
+        the id of their section, whose (order, classes) are `section(A, sub)`."""
         memo = (section, order, sub)
         if memo not in groups:
             if order not in a_groups_of:
@@ -117,8 +114,8 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
             by_id: dict[int, list[SRing]] = {}
             for A, ags in zip(per_divisor[order], a_groups_of[order]):
                 if sub in ags:
-                    sid = ids.setdefault(section(A, sub).key(), len(ids))
-                    by_id.setdefault(sid, []).append(A)
+                    k, classes = section(A, sub)
+                    by_id.setdefault(ids[(k, canonical_classes(classes))], []).append(A)
             groups[memo] = by_id
         return groups[memo]
 
@@ -138,7 +135,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
         for K in unit_subgroups(d):
             add(cyclotomic(K))
         if d >= 2:
-            add(rank2(d))
+            add_product(d, [[0], range(1, d)])
         # tensor products over coprime factorizations
         for d1 in divisors(d):
             d2 = d // d1
@@ -157,8 +154,8 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 n2 = d * m // n1
                 if n2 == d or n2 not in per_divisor or n2 % m != 0:
                     continue
-                right = by_section(restrict, n2, m)
-                for sid, left in by_section(quotient, n1, n1 // m).items():
+                right = by_section(restrict_classes, n2, m)
+                for sid, left in by_section(quotient_classes, n1, n1 // m).items():
                     for A1 in left:
                         for A2 in right.get(sid, ()):
                             add_product(*gen_wreath_classes(A1, A2, m))

@@ -343,10 +343,7 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     nl = n // l
     nu = n // u
 
-    shift_u = tuple((x + 1) % u for x in range(u))
     shift_nl = tuple((x + 1) % nl for x in range(nl))
-    if u > 1 and shift_u not in delta1:
-        raise ValueError("delta1 must contain the translations of Z_u")
     if nl > 1 and shift_nl not in delta0:
         raise ValueError("delta0 must contain the translations of Z_{n/l}")
 
@@ -367,9 +364,13 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     # the kernel is the normal closure of the returned residues: fed back
     # with every point a base point, they join the section levels, whose
     # Schreier generators then sift their conjugates too, and level m,
-    # the first past the section levels, generates the kernel
+    # the first past the section levels, generates the kernel; the levels
+    # are then a chain of delta1 on U/L + U, which must hold x -> x + 1
     _schreier_sims(levels, kernel, ul + u, dtype)
     kernel = levels[m].gens if len(levels) > m else []
+    shift = np.concatenate([np.arange(1, ul + 1) % ul, ul + np.arange(1, u + 1) % u])
+    if _sift(levels, 0, shift[None].astype(dtype), ul + u)[1] is not None:
+        raise ValueError("delta1 must contain the translations of Z_u")
 
     # section image of delta0: Schreier generators of the stabilizer of
     # the block U/L (cosets are residues mod n/u), restricted to U/L;

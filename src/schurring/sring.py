@@ -172,30 +172,32 @@ def a_groups(A: SRing) -> list[int]:
     return out
 
 
+def restrict_classes(A: SRing, d: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Order and (unvalidated) classes of `restrict(A, d)`; d is an A-group order."""
+    step = A.n // d
+    sub_classes = {A.class_of[x] for x in range(0, A.n, step)}
+    return d, [tuple(x // step for x in A.classes[i]) for i in sorted(sub_classes)]
+
+
 def restrict(A: SRing, d: int) -> SRing:
     """A_H for the A-group H of order d, relabeled to Z_d via x -> x/(n/d)."""
     if d not in a_groups(A):
         raise NotAnAGroup(f"order {d} is not an A-group of {A!r}")
-    step = A.n // d
-    sub_classes = {A.class_of[x] for x in range(0, A.n, step)}
-    new = [tuple(x // step for x in A.classes[i]) for i in sorted(sub_classes)]
-    return validate(d, new)
+    return validate(*restrict_classes(A, d))
+
+
+def quotient_classes(A: SRing, l: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Order and (unvalidated) classes of `quotient(A, l)`, each class image
+    once (images of classes coincide or are disjoint); l is an A-group order."""
+    m = A.n // l
+    return m, list(dict.fromkeys(tuple(sorted({x % m for x in c})) for c in A.classes))
 
 
 def quotient(A: SRing, l: int) -> SRing:
     """A_{G/L} for the A-group L of order l, over Z_{n/l} via x -> x mod n/l."""
     if l not in a_groups(A):
         raise NotAnAGroup(f"order {l} is not an A-group of {A!r}")
-    m = A.n // l
-    images = []
-    seen = set()
-    for c in A.classes:
-        img = tuple(sorted({x % m for x in c}))
-        if img not in seen:
-            seen.add(img)
-            images.append(img)
-    # images of classes either coincide or are disjoint for a valid ring
-    return validate(m, images)
+    return validate(*quotient_classes(A, l))
 
 
 def restrict_section(A: SRing, s: Section) -> SRing:

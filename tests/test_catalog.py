@@ -1,11 +1,13 @@
 """Enumeration of all S-rings over Z_n and the schurity census."""
 
 import json
+from collections import Counter
 
 import pytest
 from test_verdict_digests import CENSUS_72_PATH, census_entry
 
 from schurring import catalog as catalog_mod
+from schurring import construct, sring
 from schurring.catalog import (
     BRUTE_CAP,
     Catalog,
@@ -16,7 +18,7 @@ from schurring.catalog import (
 )
 from schurring.construct import units
 from schurring.errors import CapExceeded, NotClosedUnderProduct
-from schurring.sring import validate
+from schurring.sring import quotient_classes, validate
 
 # exact counts, frozen from the brute-force oracle
 ORACLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 3, 6: 7, 7: 4, 8: 10, 9: 7, 10: 10, 11: 4, 12: 32}
@@ -38,6 +40,34 @@ def test_enumerate_examples():
 def test_enumerate_matches_frozen_counts():
     for n, count in ORACLE_COUNTS.items():
         assert enumerate_srings(n).count_exact == count
+
+
+def test_enumerate_validates_each_ring_once(monkeypatch):
+    # sections are looked up among the catalog rings, never validated again
+    validated = Counter()
+
+    def counting(n, classes):
+        A = validate(n, classes)
+        validated[A.key()] += 1
+        return A
+
+    for mod in (sring, catalog_mod, construct):
+        monkeypatch.setattr(mod, "validate", counting)
+    keys = {A.key() for A in enumerate_srings(48).rings}
+    assert keys <= validated.keys()
+    assert set(validated.values()) == {1}
+
+
+def test_enumerate_rejects_a_section_outside_the_catalog(monkeypatch):
+    # a quotient whose class of 0 is merged into its neighbour is no S-ring,
+    # so its key is missing from the catalog and the lookup must fail
+    def merged(A, l):
+        m, classes = quotient_classes(A, l)
+        return m, [classes[0] + classes[1], *classes[2:]] if len(classes) > 1 else classes
+
+    monkeypatch.setattr(catalog_mod, "quotient_classes", merged)
+    with pytest.raises(KeyError):
+        enumerate_srings(12)
 
 
 def test_brute_force_examples():

@@ -306,6 +306,9 @@ def test_perm_gen_wreath_preconditions():
     with pytest.raises(ValueError):
         # delta1 must contain the translations of Z_u
         perm_gen_wreath(PermGroup(2, []), translations(4), 4, 2, 1)
+    with pytest.raises(ValueError):
+        # x -> x + 2 and x -> 3x on Z_4 respect the blocks of Z_4 / Z_2, but miss x -> x + 1
+        perm_gen_wreath(PermGroup(4, [(2, 3, 0, 1), (0, 3, 2, 1)]), translations(4), 8, 4, 2)
 
 
 def section_groups(A, s):

@@ -28,9 +28,11 @@ from schurring.sring import (
     is_quasidense,
     multiplier_stabilizer,
     quotient,
+    quotient_classes,
     radical,
     radical_of_class,
     restrict,
+    restrict_classes,
     restrict_section,
     sections,
     tensor_split,
@@ -220,6 +222,17 @@ def test_quotient_examples():
     assert quotient(W8, 1).key() == W8.key()
     with pytest.raises(NotAnAGroup):
         quotient(rank2(6), 3)
+
+
+def test_section_classes_match_the_validated_sections():
+    # the catalog looks these up by key in place of the validated rings
+    for n in range(1, 25):
+        for A in enumerate_srings(n).rings:
+            for d in a_groups(A):
+                for helper, ring in ((restrict_classes, restrict), (quotient_classes, quotient)):
+                    order, classes = helper(A, d)
+                    B = ring(A, d)
+                    assert (order, canonical_classes(classes)) == B.key(), (A.classes, d, helper)
 
 
 def test_restrict_section_examples():
