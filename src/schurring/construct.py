@@ -1,5 +1,11 @@
 """Builders: cyclotomic rings, tensor products, generalized wreath
 products, and the explicit non-schurian witness over Z_{n1*n2}.
+
+Each builder's output is an S-ring by theorem: the orbit partition of a
+group of multipliers (Schur), the rank-2 ring, the tensor product of
+rings over coprime orders, and the generalized wreath product of rings
+whose order-m sections agree (Evdokimov-Ponomarenko).  So the builders
+check only their arguments and construct their rings without `validate`.
 """
 
 from __future__ import annotations
@@ -8,10 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .arith import divisors, omega_star
 from .errors import IncompatibleSection, NotCoprime
-from .perm import orbits_of_perms
-from .sring import SRing, quotient, restrict, validate
+from .perm import merge_orbits, orbits_of_perms
+from .sring import SRing, _from_canonical, canonical_classes, quotient, restrict
 
 
 @dataclass(frozen=True)
@@ -28,20 +36,18 @@ class MultiplierGroup:
         for g in gens:
             if math.gcd(g, n) != 1:
                 raise ValueError(f"{g} is not a unit mod {n}")
-        elems = {1 % n}
-        frontier = list(elems)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = x * g % n
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-        return cls(n, gens, tuple(sorted(elems)))
+        # the elements are the orbit of 1 under the maps x -> g*x
+        lab = merge_orbits(np.arange(n), _multipliers(n, gens))
+        return cls(n, gens, tuple(np.flatnonzero(lab == lab[1 % n]).tolist()))
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+def _multipliers(n: int, ms) -> list[tuple[int, ...]]:
+    """The maps x -> m*x on Z_n, as permutations."""
+    return [tuple(m * x % n for x in range(n)) for m in ms]
 
 
 def units(n: int) -> list[int]:
@@ -60,15 +66,17 @@ def k_m(m: int) -> MultiplierGroup:
 def cyclotomic(K: MultiplierGroup) -> SRing:
     """The S-ring whose classes are the orbits of K on Z_n."""
     n = K.n
-    multipliers = [tuple(m * x % n for x in range(n)) for m in K.elements]
-    return validate(n, orbits_of_perms(n, multipliers))
+    for g in K.generators:
+        if math.gcd(g, n) != 1:
+            raise ValueError(f"{g} is not a unit mod {n}")
+    return _from_canonical(n, tuple(orbits_of_perms(n, _multipliers(n, K.generators))))
 
 
 def rank2(n: int) -> SRing:
     """Classes {0} and Z_n \\ {0}."""
     if n < 2:
         raise ValueError("rank2 needs n >= 2")
-    return validate(n, [[0], list(range(1, n))])
+    return _from_canonical(n, ((0,), tuple(range(1, n))))
 
 
 def _crt_coeffs(n1: int, n2: int) -> tuple[int, int]:
@@ -95,7 +103,8 @@ def tensor(A1: SRing, A2: SRing) -> SRing:
     """Tensor product over Z_{n1*n2} via the CRT bijection (coprime orders)."""
     if math.gcd(A1.n, A2.n) != 1:
         raise NotCoprime(f"{A1.n} and {A2.n} are not coprime")
-    return validate(*tensor_classes(A1, A2))
+    n, classes = tensor_classes(A1, A2)
+    return _from_canonical(n, canonical_classes(classes))
 
 
 def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
@@ -113,7 +122,8 @@ def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
     right = restrict(A2, m)
     if left.key() != right.key():
         raise IncompatibleSection(left, right)
-    return validate(*gen_wreath_classes(A1, A2, m))
+    n, classes = gen_wreath_classes(A1, A2, m)
+    return _from_canonical(n, canonical_classes(classes))
 
 
 def gen_wreath_classes(A1: SRing, A2: SRing, m: int) -> tuple[int, list[list[int]]]:

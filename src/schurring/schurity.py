@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
-from .perm import PermGroup, is_normal_subgroup, merge_orbits, orbit_partition, translations
+from .perm import PermGroup, merge_orbits, orbit_partition, translations
 from .sring import SRing, restrict_section, sections
 
 DEFAULT_BUDGET = 10**8
@@ -246,8 +246,16 @@ def is_schurian(A: SRing, budget: Optional[int] = None) -> SchurityVerdict:
 
 
 def is_normal_sring(A: SRing, budget: Optional[int] = None) -> bool:
-    """Whether the translations are normal in aut(A)."""
-    return is_normal_subgroup(automorphism_group(A, budget), translations(A.n))
+    """Whether the translations are normal in aut(A).
+
+    aut(A) is generated by the translations and the generators of the
+    stabilizer of 0.  The normalizer of the translations in Sym(n) is the
+    holomorph, whose elements fixing 0 are the multipliers x -> m*x.  So
+    the translations are normal iff every stabilizer generator g is the
+    multiplier by g(1).
+    """
+    n = A.n
+    return all(all(g[x] == g[1] * x % n for x in range(n)) for g in _aut_data(A, budget).stabilizer_gens)
 
 
 def minimal_nonschurian_check(A: SRing, budget: Optional[int] = None) -> bool:

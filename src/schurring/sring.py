@@ -1,9 +1,14 @@
 """The S-ring data model over Z_n.
 
-An S-ring is stored as a validated partition of {0, ..., n-1} into basic
-sets ("classes"): class 0 is exactly {0}, the partition is closed under
+An S-ring is stored as a partition of {0, ..., n-1} into basic sets
+("classes"): class 0 is exactly {0}, the partition is closed under
 negation, and for every pair of classes (X, Y) the convolution counts
 #{(x, y) in X x Y : x + y = z} are constant over each class Z.
+
+`validate` checks a partition that comes from outside.  A partition that
+is an S-ring by theorem is not checked again: `restrict` and `quotient`
+(a section of an S-ring by A-groups is an S-ring) and the builders in
+`construct` hand their canonical classes straight to `_from_canonical`.
 
 `validate` checks the product axiom one class X at a time.  Colour each
 point by its class: colour j occurs #{x in X : z - x in Y_j} times in the
@@ -32,7 +37,6 @@ from .errors import (
     NotInverseClosed,
     ZeroClassNotSingleton,
 )
-from .perm import orbits_of_perms
 
 # The product check sorts one block of (points x class size) colour cells at a
 # time.  `analyze` has no degree cap, and a 200,000-point rank-2 document would
@@ -43,7 +47,8 @@ VALIDATE_BLOCK_CELLS = 2**20
 
 @dataclass(frozen=True)
 class SRing:
-    """A validated S-ring over Z_n.  Construct via `validate`."""
+    """An S-ring over Z_n, in canonical form.  Construct a partition that
+    comes from outside via `validate`."""
 
     n: int
     classes: tuple[tuple[int, ...], ...]
@@ -151,53 +156,53 @@ def validate(n: int, classes) -> SRing:
                 y = (counts[0] != counts[1]).argmax()
                 raise NotClosedUnderProduct(X, canon[y], int(pts[q]), int(pts[p]))
 
-    return SRing(n, canon, tuple(C.tolist()))
+    return _from_canonical(n, canon)
+
+
+def _from_canonical(n: int, canon: tuple[tuple[int, ...], ...]) -> SRing:
+    """The SRing whose classes are `canon`, a canonical partition of Z_n
+    that satisfies the axioms; nothing is checked."""
+    class_of = [0] * n
+    for i, c in enumerate(canon):
+        for x in c:
+            class_of[x] = i
+    return SRing(n, canon, tuple(class_of))
 
 
 def group_ring(n: int) -> SRing:
     """The full group ring: all classes are singletons."""
-    return SRing(
-        n, tuple((i,) for i in range(n)), tuple(range(n))
-    )
+    return _from_canonical(n, tuple((i,) for i in range(n)))
+
+
+def _is_a_group(A: SRing, d: int) -> bool:
+    """Whether d | n and the subgroup of order d is a union of classes: the
+    classes of its points hold d points in all."""
+    return d > 0 and A.n % d == 0 and sum(len(A.classes[i]) for i in set(A.class_of[::A.n // d])) == d
 
 
 def a_groups(A: SRing) -> list[int]:
     """Orders d | n whose subgroup is a union of classes; includes 1 and n."""
-    out = []
-    for d in divisors(A.n):
-        step = A.n // d
-        sub = set(range(0, A.n, step))
-        if all(set(A.classes[i]) <= sub for i in {A.class_of[x] for x in sub}):
-            out.append(d)
-    return out
-
-
-def restrict_classes(A: SRing, d: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Order and (unvalidated) classes of `restrict(A, d)`; d is an A-group order."""
-    step = A.n // d
-    sub_classes = {A.class_of[x] for x in range(0, A.n, step)}
-    return d, [tuple(x // step for x in A.classes[i]) for i in sorted(sub_classes)]
+    return [d for d in divisors(A.n) if _is_a_group(A, d)]
 
 
 def restrict(A: SRing, d: int) -> SRing:
     """A_H for the A-group H of order d, relabeled to Z_d via x -> x/(n/d)."""
-    if d not in a_groups(A):
+    if not _is_a_group(A, d):
         raise NotAnAGroup(f"order {d} is not an A-group of {A!r}")
-    return validate(*restrict_classes(A, d))
-
-
-def quotient_classes(A: SRing, l: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Order and (unvalidated) classes of `quotient(A, l)`, each class image
-    once (images of classes coincide or are disjoint); l is an A-group order."""
-    m = A.n // l
-    return m, list(dict.fromkeys(tuple(sorted({x % m for x in c})) for c in A.classes))
+    step = A.n // d
+    # x -> x/step keeps the order of elements and of class minima
+    return _from_canonical(d, tuple(tuple(x // step for x in A.classes[i])
+                                    for i in sorted(set(A.class_of[::step]))))
 
 
 def quotient(A: SRing, l: int) -> SRing:
     """A_{G/L} for the A-group L of order l, over Z_{n/l} via x -> x mod n/l."""
-    if l not in a_groups(A):
+    if not _is_a_group(A, l):
         raise NotAnAGroup(f"order {l} is not an A-group of {A!r}")
-    return validate(*quotient_classes(A, l))
+    m = A.n // l
+    # images of classes coincide or are disjoint; each is kept once, at its
+    # first preimage class, whose minimum is the image's minimum
+    return _from_canonical(m, tuple(dict.fromkeys(tuple(sorted({x % m for x in c})) for c in A.classes)))
 
 
 def restrict_section(A: SRing, s: Section) -> SRing:
@@ -312,14 +317,11 @@ def multiplier_stabilizer(A: SRing) -> list[int]:
 
 def is_cyclotomic(A: SRing):
     """The full multiplier group K* when the classes are its orbits, else None."""
-    from .construct import MultiplierGroup  # local import avoids a cycle
+    from .construct import MultiplierGroup, cyclotomic  # local import avoids a cycle
 
-    n = A.n
-    kstar = multiplier_stabilizer(A)
-    multipliers = [tuple(m * x % n for x in range(n)) for m in kstar]
-    if tuple(orbits_of_perms(n, multipliers)) == A.classes:
-        return MultiplierGroup(n, tuple(kstar), tuple(kstar))
-    return None
+    kstar = tuple(multiplier_stabilizer(A))
+    K = MultiplierGroup(A.n, kstar, kstar)
+    return K if cyclotomic(K).classes == A.classes else None
 
 
 def tensor_split(A: SRing, d: int) -> bool:
@@ -328,22 +330,8 @@ def tensor_split(A: SRing, d: int) -> bool:
     e = n // d
     if math.gcd(d, e) != 1:
         raise NotComplementary(f"{d} and {n // d} are not coprime")
-    ags = a_groups(A)
-    if d not in ags or e not in ags:
+    if not (_is_a_group(A, d) and _is_a_group(A, e)):
         raise NotComplementary(f"orders {d}, {e} must both be A-groups")
-    for c in A.classes:
-        proj_d = {x % d for x in c}
-        proj_e = {x % e for x in c}
-        if len(c) != len(proj_d) * len(proj_e):
-            return False
-        # CRT: the class must be the full product of its projections
-        got = {x for x in c}
-        want = set()
-        for a in proj_d:
-            for b in proj_e:
-                # solve x = a mod d, x = b mod e
-                inv = pow(e, -1, d)
-                want.add((b + e * ((a - b) * inv % d)) % n)
-        if got != want:
-            return False
-    return True
+    # x -> (x mod d, x mod e) is one to one (CRT), so a class is the full
+    # product of its projections iff it has as many points
+    return all(len(c) == len({x % d for x in c}) * len({x % e for x in c}) for c in A.classes)

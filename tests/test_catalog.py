@@ -1,13 +1,13 @@
 """Enumeration of all S-rings over Z_n and the schurity census."""
 
+import dataclasses
 import json
-from collections import Counter
 
 import pytest
 from test_verdict_digests import CENSUS_72_PATH, census_entry
 
 from schurring import catalog as catalog_mod
-from schurring import construct, sring
+from schurring import cli, construct, schurity, sring
 from schurring.catalog import (
     BRUTE_CAP,
     Catalog,
@@ -16,9 +16,19 @@ from schurring.catalog import (
     enumerate_srings,
     unit_subgroups,
 )
-from schurring.construct import units
+from schurring.construct import (
+    MultiplierGroup,
+    cyclotomic,
+    gen_wreath,
+    k_m,
+    rank2,
+    tensor,
+    units,
+    witness,
+    witness_detailed,
+)
 from schurring.errors import CapExceeded, NotClosedUnderProduct
-from schurring.sring import quotient_classes, validate
+from schurring.sring import Section, group_ring, quotient, restrict, restrict_section, validate
 
 # exact counts, frozen from the brute-force oracle
 ORACLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 3, 6: 7, 7: 4, 8: 10, 9: 7, 10: 10, 11: 4, 12: 32}
@@ -42,30 +52,58 @@ def test_enumerate_matches_frozen_counts():
         assert enumerate_srings(n).count_exact == count
 
 
-def test_enumerate_validates_each_ring_once(monkeypatch):
-    # sections are looked up among the catalog rings, never validated again
-    validated = Counter()
+def test_only_the_boundary_validates(monkeypatch, tmp_path):
+    # the builders, the closure, the census and the witness make S-rings by
+    # theorem and never call validate; documents and the oracle's
+    # candidates come from outside and are always validated
+    calls = []
 
     def counting(n, classes):
-        A = validate(n, classes)
-        validated[A.key()] += 1
-        return A
+        calls.append(n)
+        return validate(n, classes)
 
-    for mod in (sring, catalog_mod, construct):
-        monkeypatch.setattr(mod, "validate", counting)
-    keys = {A.key() for A in enumerate_srings(48).rings}
-    assert keys <= validated.keys()
-    assert set(validated.values()) == {1}
+    for mod in (sring, construct, catalog_mod, schurity, cli):
+        monkeypatch.setattr(mod, "validate", counting, raising=False)
+
+    def validations(build):
+        calls.clear()
+        build()
+        return len(calls)
+
+    G4 = group_ring(4)
+    builders = [
+        lambda: group_ring(5),
+        lambda: enumerate_srings(48),
+        lambda: census(24),
+        lambda: witness_detailed(8, 27),
+        lambda: cyclotomic(MultiplierGroup.from_generators(12, [5, 7])),
+        lambda: rank2(6),
+        lambda: tensor(G4, cyclotomic(k_m(9))),
+        lambda: gen_wreath(G4, group_ring(6), 2),
+        lambda: restrict(G4, 2),
+        lambda: quotient(G4, 2),
+        lambda: restrict_section(G4, Section(4, 2)),
+    ]
+    assert [validations(b) for b in builders] == [0] * len(builders)
+    candidates = sum(1 for _ in catalog_mod._inverse_closed_partitions(8))
+    assert validations(lambda: brute_force_enumerate(8)) == candidates
+    doc = tmp_path / "w4.json"
+    doc.write_text(json.dumps({"n": 4, "classes": [[0], [2], [1, 3]]}), encoding="utf-8")
+    assert validations(lambda: cli.main(["analyze", str(doc)])) == 1
+    assert validations(lambda: cli.ring_from_document({"n": 4, "classes": [[0], [2], [1, 3]]})) == 1
 
 
 def test_enumerate_rejects_a_section_outside_the_catalog(monkeypatch):
     # a quotient whose class of 0 is merged into its neighbour is no S-ring,
     # so its key is missing from the catalog and the lookup must fail
     def merged(A, l):
-        m, classes = quotient_classes(A, l)
-        return m, [classes[0] + classes[1], *classes[2:]] if len(classes) > 1 else classes
+        B = quotient(A, l)
+        classes = B.classes
+        if len(classes) > 1:
+            classes = (classes[0] + classes[1], *classes[2:])
+        return dataclasses.replace(B, classes=classes)
 
-    monkeypatch.setattr(catalog_mod, "quotient_classes", merged)
+    monkeypatch.setattr(catalog_mod, "quotient", merged)
     with pytest.raises(KeyError):
         enumerate_srings(12)
 
@@ -141,5 +179,8 @@ def test_census_72_contains_nonschurian():
     rep = census(72, budget=10**7)
     assert rep.schurian_count < rep.total
     assert rep.first_nonschurian is not None
+    # census decides exactly the rings of enumerate_srings(72), so the
+    # closure itself must hold the explicit witness
+    assert witness(8, 9).key() in {e.ring.key() for e in rep.entries}
     frozen = json.loads(CENSUS_72_PATH.read_text(encoding="utf-8"))
     assert census_entry(rep) == frozen

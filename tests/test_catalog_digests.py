@@ -3,7 +3,8 @@
 `data/catalog_digests.json` holds, for every n <= 72, the ring count and
 a sha256 of the sorted canonical keys of `enumerate_srings(n)`, frozen
 from the pairwise closure that tried every pair of divisor rings.  Any
-later enumeration must reproduce every entry exactly.
+later enumeration must reproduce every entry exactly.  The closure builds
+its rings without `validate`, so every ring is also revalidated here.
 
 Regenerate (only when a catalog change is intended):
 
@@ -15,6 +16,7 @@ import json
 from pathlib import Path
 
 from schurring.catalog import _catalog_order, enumerate_srings
+from schurring.sring import validate
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "catalog_digests.json"
 MAX_N = 72
@@ -31,6 +33,8 @@ def digest_entry(n: int) -> dict:
     cat = enumerate_srings(n)
     assert list(cat.rings) == _catalog_order(cat.rings), f"n={n}: rings out of catalog order"
     assert cat.count_exact == len(cat.rings)
+    for A in cat.rings:
+        assert validate(A.n, A.classes) == A, f"n={n}: {A.classes} does not revalidate to itself"
     return {"count": cat.count_exact, "sha256": catalog_digest(cat.rings)}
 
 

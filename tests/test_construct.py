@@ -1,7 +1,10 @@
 """Builders: cyclotomic rings, tensor, generalized wreath, witness."""
 
+import random
+
 import pytest
 
+from schurring.arith import classify
 from schurring.catalog import unit_subgroups
 from schurring.construct import (
     MultiplierGroup,
@@ -40,6 +43,18 @@ def test_multiplier_group_closure():
     assert K.elements == (1, 5, 7, 11)
     with pytest.raises(ValueError):
         MultiplierGroup.from_generators(12, [4])
+    # reference: the products of the generators, straight from the definition
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 120)
+        gens = rng.sample(units(n), min(len(units(n)), rng.randrange(4)))
+        want = {1 % n}
+        while True:
+            more = want | {x * g % n for x in want for g in gens}
+            if more == want:
+                break
+            want = more
+        assert MultiplierGroup.from_generators(n, gens).elements == tuple(sorted(want)), (n, gens)
 
 
 def test_k_m_examples():
@@ -57,6 +72,11 @@ def test_cyclotomic_examples():
     assert A.rank == 6
     # the class of units has cardinality 4
     assert len(A.classes[1]) == 4
+
+
+def test_cyclotomic_refuses_a_non_unit():
+    with pytest.raises(ValueError):
+        cyclotomic(MultiplierGroup(12, (5, 4), (1, 5)))
 
 
 def test_cyclotomic_classes_are_the_multiplier_orbits():
@@ -151,6 +171,18 @@ def test_witness_8_9():
     # already validated by construction; re-validate from raw data
     revalidated = validate(72, [list(c) for c in w.ring.classes])
     assert revalidated.key() == w.ring.key()
+
+
+def test_witness_rings_revalidate():
+    # the builders skip validate, so the witnesses up to 300 and the glued
+    # rings a12, a34 they are built from must each revalidate to themselves
+    splits = [classify(n).nonschur_split for n in range(72, 301)]
+    splits = [s for s in splits if s is not None]
+    assert len(splits) == 14
+    for n1, n2 in splits:
+        w = witness_detailed(n1, n2)
+        for A in (w.ring, w.a12, w.a34):
+            assert validate(A.n, A.classes) == A, (n1, n2, A)
 
 
 def test_witness_8_15():

@@ -10,7 +10,7 @@ from schurring.arith import classify
 from schurring.catalog import enumerate_srings
 from schurring.construct import cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
-from schurring.perm import orbits_of_perms
+from schurring.perm import is_normal_subgroup, orbits_of_perms, translations
 from schurring.schurity import (
     MAX_SEARCH_DEGREE,
     _aut_data,
@@ -124,6 +124,14 @@ def test_is_normal_sring_examples():
     A = cyclotomic(k_m(12))
     assert is_normal_sring(A) and aut_order(A) == 24
     assert not is_normal_sring(rank2(5))
+
+
+def test_is_normal_sring_matches_the_subgroup_test():
+    # reference: conjugate the translations by every generator of aut(A)
+    for n in range(1, 17):
+        for A in enumerate_srings(n).rings:
+            want = is_normal_subgroup(automorphism_group(A), translations(n))
+            assert is_normal_sring(A) == want, A.classes
 
 
 def test_minimal_nonschurian_check():

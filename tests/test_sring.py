@@ -28,11 +28,9 @@ from schurring.sring import (
     is_quasidense,
     multiplier_stabilizer,
     quotient,
-    quotient_classes,
     radical,
     radical_of_class,
     restrict,
-    restrict_classes,
     restrict_section,
     sections,
     tensor_split,
@@ -214,6 +212,11 @@ def test_restrict_examples():
     assert restrict(W8, 8).key() == W8.key()
     with pytest.raises(NotAnAGroup):
         restrict(rank2(6), 2)
+    for d in (0, 3, 16):  # no order of a subgroup of Z_8
+        with pytest.raises(NotAnAGroup):
+            restrict(W8, d)
+        with pytest.raises(NotAnAGroup):
+            quotient(W8, d)
 
 
 def test_quotient_examples():
@@ -225,14 +228,14 @@ def test_quotient_examples():
 
 
 def test_section_classes_match_the_validated_sections():
-    # the catalog looks these up by key in place of the validated rings
+    # restrict and quotient build their sections unvalidated: each must be
+    # the S-ring that validating its own classes gives, class_of included
     for n in range(1, 25):
         for A in enumerate_srings(n).rings:
             for d in a_groups(A):
-                for helper, ring in ((restrict_classes, restrict), (quotient_classes, quotient)):
-                    order, classes = helper(A, d)
-                    B = ring(A, d)
-                    assert (order, canonical_classes(classes)) == B.key(), (A.classes, d, helper)
+                for section in (restrict, quotient):
+                    B = section(A, d)
+                    assert validate(B.n, B.classes) == B, (A.classes, d, section)
 
 
 def test_restrict_section_examples():
