@@ -57,10 +57,8 @@ def units(n: int) -> list[int]:
 
 
 def k_m(m: int) -> MultiplierGroup:
-    """The order-2 multiplier group {1, -1} mod m (trivial for m <= 2)."""
-    if m <= 2:
-        return MultiplierGroup.from_generators(m, [1])
-    return MultiplierGroup.from_generators(m, [m - 1])
+    """The multiplier group {1, -1} mod m (trivial for m <= 2)."""
+    return MultiplierGroup.from_generators(m, [-1])
 
 
 def cyclotomic(K: MultiplierGroup) -> SRing:
@@ -203,7 +201,8 @@ def witness_detailed(n1: int, n2: int) -> WitnessConstruction:
         glue12, glue34, top = c, d, n1
         branch = "generic"
 
-    A1 = _cyc_product(a, c)
+    # cyc(K_a x K_c): the orbits of a direct product are products of orbits
+    A1 = tensor(cyclotomic(k_m(a)), cyclotomic(k_m(c)))
     A2 = cyclotomic(k_m(b * c))
     A3 = cyclotomic(k_m(a * d))
     A4 = cyclotomic(k_m(b * d))
@@ -223,16 +222,6 @@ def witness_detailed(n1: int, n2: int) -> WitnessConstruction:
     if swapped:
         n1, n2 = n2, n1
     return WitnessConstruction(ring, n1, n2, a, b, c, d, branch, a12, a34)
-
-
-def _cyc_product(a: int, c: int) -> SRing:
-    """cyc(K_a x K_c, Z_{a*c}) realized inside units(a*c) via CRT."""
-    n = a * c
-    e1, e2 = _crt_coeffs(a, c)
-    s_a = a - 1 if a > 2 else 1
-    s_c = c - 1 if c > 2 else 1
-    gens = [(s_a * e1 + e2) % n, (e1 + s_c * e2) % n]
-    return cyclotomic(MultiplierGroup.from_generators(n, gens))
 
 
 def witness(n1: int, n2: int) -> SRing:

@@ -36,10 +36,10 @@ equal cell sizes make this map a bijection.  It is accepted iff it
 preserves every color, checked on the rows of the points it moves only.
 When every cell is a singleton this map is the forced one, and a frame
 whose read-off fails has nothing to branch on.  Otherwise the frame
-branches on the first point of its smallest non-singleton cell, over
-that cell's targets.  On a rank-2-like level, where swapping v and w and
-fixing every other point preserves colors, the first read-off succeeds,
-so such a level costs one frame.  The budget counts nodes:
+branches on the lowest-numbered point whose cell is not a singleton,
+over that cell's targets.  On a rank-2-like level, where swapping v and
+w and fixing every other point preserves colors, the first read-off
+succeeds, so such a level costs one frame.  The budget counts nodes:
 
 - one node per candidate image the DFS tries when it branches;
 - one node per point a read-off map moves, whether it is accepted or not.
@@ -152,9 +152,9 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
         stays, and the movers (src[x] != dst[x]) of each cell go to the
         cell's other targets, both in increasing order, which pairs them
         one to one.  It is accepted iff it preserves every color.  If not,
-        and every cell is a singleton, no g exists; otherwise the first
-        point of the smallest non-singleton cell (lowest label on a tie)
-        branches over the cell's targets, one node per target tried.
+        and every cell is a singleton, no g exists; otherwise the
+        lowest-numbered point whose cell is not a singleton branches over
+        its cell's targets, one node per target tried.
         """
         sizes = np.bincount(src)
         if not np.array_equal(sizes, np.bincount(dst)):
@@ -170,8 +170,8 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
             return full
         if sizes.max() == 1:
             return None
-        cell = np.where(sizes > 1, sizes, n + 1).argmin()
-        x = int((src == cell).argmax())
+        x = int((sizes[src] > 1).argmax())
+        cell = src[x]
         for y in (dst == cell).nonzero()[0].tolist():
             charge(1)
             found = extend(*individualize(src, dst, x, y))

@@ -1,9 +1,19 @@
 """Shared helpers: small brute-force oracles used to cross-check the
-library, and a terminal summary hook for the acceptance report."""
+library, the catalogs n <= 72 shared by the digest gates, and a terminal
+summary hook for the acceptance report."""
 
 import itertools
 
+import pytest
+
+from schurring.catalog import enumerate_srings
 from schurring.perm import closure, identity
+
+
+@pytest.fixture(scope="session")
+def catalogs():
+    """enumerate_srings(n) for every n <= 72, enumerated once per session."""
+    return {n: enumerate_srings(n) for n in range(1, 73)}
 
 
 def is_color_automorphism(A, p):

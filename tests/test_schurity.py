@@ -166,15 +166,23 @@ def test_wreath_schurity_on_an_applicable_instance():
 def test_budget_exhaustion_raises():
     # one node per candidate image a branch tries and one per point a read-off
     # map moves: the smallest budget that decides each ring is pinned.
-    # The default-budget verdict is memoized on (ring, budget), so every
-    # smaller budget still runs its own search.
-    for A, threshold in ((rank2(23), 42), (cyclotomic(k_m(35)), 34), (witness(8, 9), 900)):
-        decided = is_schurian(A)
-        with pytest.raises(SearchBudgetExceeded):
-            is_schurian(A, budget=1)
-        assert is_schurian(A, budget=threshold) == decided
+    # The plain wreath products over Z_55 and Z_66 (class sizes 1, 4, 25, 25
+    # and 1, 5, 30, 30) cost a search that branches on the wrong point over
+    # 10^6 nodes.  The pinned budget runs first, so such a search fails at
+    # once instead of spending the default budget; every budget is its own
+    # memo key, so each one runs its own search.
+    def ring(n, sizes):
+        (A,) = [A for A in enumerate_srings(n).rings if sorted(map(len, A.classes)) == sizes]
+        return A
+
+    for A, threshold in ((rank2(23), 42), (cyclotomic(k_m(35)), 34), (witness(8, 9), 618),
+                         (ring(55, [1, 4, 25, 25]), 250), (ring(66, [1, 5, 30, 30]), 305)):
+        decided = is_schurian(A, budget=threshold)
         with pytest.raises(SearchBudgetExceeded):
             is_schurian(A, budget=threshold - 1)
+        with pytest.raises(SearchBudgetExceeded):
+            is_schurian(A, budget=1)
+        assert is_schurian(A) == decided
     with pytest.raises(ValueError):
         is_schurian(W4, budget=-1)
 
