@@ -44,10 +44,35 @@ succeeds, so such a level costs one frame.  The budget counts nodes:
 - one node per candidate image the DFS tries when it branches;
 - one node per point a read-off map moves, whether it is accepted or not.
 
-The search result depends only on the ring and the node budget, so it is
+Plain wreath products are not searched.  A is plain over an A-group U of
+order u when every class outside U is a union of U-cosets
+(`sring._is_wreath` with l = u).  Then "x - y in U" is a union of colors,
+so every color automorphism permutes the U-cosets, and the color between
+two cosets depends only on the pair of cosets: aut(A) is exactly
+aut(A_U) wr aut(A_{G/U}).  Before it searches, `_aut_data` takes the least
+proper A-group order 1 < u < n over which A is plain, if there is one,
+decides A_U = `restrict(A, u)` and A_{G/U} = `quotient(A, u)` by
+`_aut_data` in turn, and assembles, with m = n/u, so that U is the
+multiples of m and its cosets are the residues mod m:
+
+- the order |aut(A_U)|^m * |aut(A_{G/U})|;
+- the 0-stabilizer orbits: those of A_U scaled by m into U, and the
+  preimage {x : x mod m in O} of every non-zero orbit O of A_{G/U};
+- the generators: A_U's stabilizer generators acting on U; for the least
+  coset c of every non-zero orbit of A_{G/U}, the translation of Z_u and
+  A_U's stabilizer generators acting on c + mZ alone; and every
+  stabilizer generator g of A_{G/U}, lifted as
+  x -> g(x mod m) + x - (x mod m).  They generate the stabilizer but are
+  not a strong generating set.
+
+The result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
 A search that runs out of budget raises and is not memoized, and a call
 with another budget is another key, so the memo never hides an overrun.
+Each factor of a plain ring is decided with the caller's budget, under
+the key a direct call would use, so a factor decided before is a memo
+hit; the assembly charges no nodes.  The budget so bounds every search,
+not the sum over a ring's factors.
 
 Rings over more than `MAX_SEARCH_DEGREE` points are refused with
 CapExceeded before the n x n color matrix is built.
@@ -63,7 +88,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from .perm import PermGroup, merge_orbits, orbit_partition, translations
-from .sring import SRing, restrict_section, sections
+from .sring import SRing, _is_wreath, a_groups, quotient, restrict, restrict_section, sections
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
@@ -117,6 +142,48 @@ def _relabel(keys: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=AUT_MEMO_SIZE)
 def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
+    """The search's data of aut(A), from its factors when A is plain."""
+    check_search_degree(A.n)
+    u = next((u for u in a_groups(A)[1:-1] if _is_wreath(A, u, u)), None)
+    if u is None:
+        return _search(A, budget)
+    return _plain_wreath(_aut_data(restrict(A, u), budget), _aut_data(quotient(A, u), budget), u, A.n // u)
+
+
+def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
+    """The data of aut(A) = aut(A_U) wr aut(A_{G/U}) from `inner`, the data
+    of A_U, and `outer`, that of A_{G/U}, where U has order u and index m:
+    U is the multiples of m and its cosets are the residues mod m."""
+    x = np.arange(u * m)
+    res = x % m
+
+    def least_points(orbits, k):
+        lab = np.empty(k, dtype=np.intp)
+        for o in orbits:
+            lab[list(o)] = o[0]
+        return lab
+
+    # outside U, the preimage of an orbit O of aut(A_{G/U})_0 starts at min O
+    lab = least_points(outer.stabilizer_orbits, m)[res]
+    lab[::m] = m * least_points(inner.stabilizer_orbits, u)
+
+    def on_coset(c, g):
+        """g, a permutation of Z_u, acting on the coset c + mZ alone."""
+        p = x.copy()
+        p[c::m] = c + m * np.asarray(g, dtype=np.intp)
+        return p
+
+    gens = [on_coset(0, g) for g in inner.stabilizer_gens]
+    shift = tuple(range(1, u)) + (0,)
+    for o in outer.stabilizer_orbits[1:]:  # orbit 0 is {0}, the coset U
+        gens += [on_coset(o[0], g) for g in (shift, *inner.stabilizer_gens)]
+    gens += [np.asarray(g, dtype=np.intp)[res] + x - res for g in outer.stabilizer_gens]
+    return _AutData(tuple(tuple(g.tolist()) for g in gens), inner.order ** m * outer.order,
+                    tuple(orbit_partition(lab)))
+
+
+def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
+    """The automorphism search of the module docstring, on any ring."""
     budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 0:
         raise ValueError("search budget must be non-negative")
@@ -215,7 +282,7 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
 
 def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:
     """The full color automorphism group, as translations plus the
-    strong generators of the stabilizer of 0."""
+    generators of the stabilizer of 0."""
     data = _aut_data(A, budget)
     n = A.n
     gens = list(translations(n).generators) + list(data.stabilizer_gens)

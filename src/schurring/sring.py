@@ -282,26 +282,23 @@ def is_dense(A: SRing) -> bool:
     return a_groups(A) == divisors(A.n)
 
 
+def _is_wreath(A: SRing, u: int, l: int) -> bool:
+    """Whether every class outside the A-group U of order u is a union of
+    cosets of the A-group L of order l <= U: x and x + n/l share a class
+    for every x outside U.  O(n)."""
+    n, c = A.n, A.class_of
+    m, step = n // u, n // l
+    return all(c[x] == c[(x + step) % n] for x in range(n) if x % m)
+
+
 def wreath_decompositions(A: SRing) -> list[Section]:
     """Proper sections (u, l) such that A is the U/L-wreath product.
 
-    Condition: every class outside U has radical containing L.  Proper
-    means l > 1 and u < n.  Sorted by (u, l).
+    Condition: every class outside U is a union of L-cosets (its radical
+    contains L).  Proper means l > 1 and u < n.  Sorted by (u, l).
     """
     ags = a_groups(A)
-    rad = [radical_of_class(A, i) for i in range(A.rank)]
-    out = []
-    for u in ags:
-        if u == A.n:
-            continue
-        step = A.n // u
-        outside = [i for i, c in enumerate(A.classes) if any(x % step for x in c)]
-        for l in ags:
-            if l == 1 or u % l != 0:
-                continue
-            if all(rad[i] % l == 0 for i in outside):
-                out.append(Section(u, l))
-    return sorted(out, key=lambda s: (s.u, s.l))
+    return [Section(u, l) for u in ags[:-1] for l in ags[1:] if u % l == 0 and _is_wreath(A, u, l)]
 
 
 def multiplier_stabilizer(A: SRing) -> list[int]:

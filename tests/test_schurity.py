@@ -8,12 +8,13 @@ import pytest
 from conftest import is_color_automorphism
 from schurring.arith import classify
 from schurring.catalog import enumerate_srings
-from schurring.construct import cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
+from schurring.construct import MultiplierGroup, cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from schurring.perm import is_normal_subgroup, orbits_of_perms, translations
 from schurring.schurity import (
     MAX_SEARCH_DEGREE,
     _aut_data,
+    _search,
     aut_order,
     automorphism_group,
     color,
@@ -57,7 +58,9 @@ def test_automorphism_group_generators_preserve_colors():
 def test_stabilizer_chain_is_checked_independently():
     # the search's generators against PermGroup's own Schreier-Sims and a
     # direct color check, not against the search's own bookkeeping, over the
-    # catalogs n <= 16 and the 14 witness rings 72 <= n <= 300
+    # catalogs n <= 16 and the 14 witness rings 72 <= n <= 300; the plain
+    # wreath products among them check the generators assembled from the
+    # factors
     witnesses = [witness(*classify(n).nonschur_split) for n in range(72, 301)
                  if classify(n).nonschur_split]
     assert len(witnesses) == 14
@@ -163,20 +166,21 @@ def test_wreath_schurity_on_an_applicable_instance():
     assert is_schurian(A).schurian
 
 
+def _catalog_ring(n, sizes):
+    (A,) = [A for A in enumerate_srings(n).rings if sorted(map(len, A.classes)) == sizes]
+    return A
+
+
 def test_budget_exhaustion_raises():
     # one node per candidate image a branch tries and one per point a read-off
     # map moves: the smallest budget that decides each ring is pinned.
     # The plain wreath products over Z_55 and Z_66 (class sizes 1, 4, 25, 25
-    # and 1, 5, 30, 30) cost a search that branches on the wrong point over
-    # 10^6 nodes.  The pinned budget runs first, so such a search fails at
-    # once instead of spending the default budget; every budget is its own
-    # memo key, so each one runs its own search.
-    def ring(n, sizes):
-        (A,) = [A for A in enumerate_srings(n).rings if sorted(map(len, A.classes)) == sizes]
-        return A
-
+    # and 1, 5, 30, 30) are decided from their factors, each within the
+    # budget: rank2(5) or rank2(6) on U, and the same Z_11 ring of class sizes
+    # 1, 5, 5 on G/U.  Every budget is its own memo key, so each one runs its
+    # own searches.
     for A, threshold in ((rank2(23), 42), (cyclotomic(k_m(35)), 34), (witness(8, 9), 618),
-                         (ring(55, [1, 4, 25, 25]), 250), (ring(66, [1, 5, 30, 30]), 305)):
+                         (_catalog_ring(55, [1, 4, 25, 25]), 32), (_catalog_ring(66, [1, 5, 30, 30]), 32)):
         decided = is_schurian(A, budget=threshold)
         with pytest.raises(SearchBudgetExceeded):
             is_schurian(A, budget=threshold - 1)
@@ -185,6 +189,40 @@ def test_budget_exhaustion_raises():
         assert is_schurian(A) == decided
     with pytest.raises(ValueError):
         is_schurian(W4, budget=-1)
+
+
+def test_bare_search_budget_pins():
+    # the search itself on the same two plain rings, where branching on the
+    # wrong point costs over 10^6 nodes; the pinned budget runs first, so
+    # such a search fails at once instead of spending the default budget
+    for A, threshold in ((_catalog_ring(55, [1, 4, 25, 25]), 250), (_catalog_ring(66, [1, 5, 30, 30]), 305)):
+        data = _search(A, threshold)
+        with pytest.raises(SearchBudgetExceeded):
+            _search(A, threshold - 1)
+        assert (data.order, data.stabilizer_orbits) == (aut_order(A), is_schurian(A).stabilizer_orbits)
+
+
+def test_plain_stalls_past_100_are_decided_from_their_factors():
+    # plain wreath products on which the bare search spends over 2 * 10^6
+    # nodes (Z_121: over 10^7); each factor is a small cyclotomic or rank-2 ring
+    c11 = cyclotomic(MultiplierGroup.from_generators(11, [3]))
+    c17 = cyclotomic(MultiplierGroup.from_generators(17, [2]))
+    budget = 10**3
+    rings = [gen_wreath(c11, rank2(10), 1), gen_wreath(c11, rank2(11), 1),
+             gen_wreath(c11, rank2(12), 1), gen_wreath(c17, rank2(8), 1),
+             gen_wreath(rank2(11), rank2(13), 1), gen_wreath(rank2(13), rank2(11), 1)]
+    shapes = [(A.n, sorted(map(len, A.classes))) for A in rings]
+    assert shapes == [(110, [1, 5, 5, 99]), (121, [1, 5, 5, 110]), (132, [1, 5, 5, 121]),
+                      (136, [1, 8, 8, 119]), (143, [1, 10, 132]), (143, [1, 12, 130])]
+    for A in rings:
+        data = _aut_data(A, budget)
+        assert is_schurian(A, budget).schurian
+        for g in data.stabilizer_gens:
+            assert g[0] == 0 and is_color_automorphism(A, g)
+        assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == data.stabilizer_orbits
+        # Schreier-Sims on Sym(11) wr Sym(13) takes most of a minute
+        if A.rank > 3:
+            assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order
 
 
 def test_search_degree_cap():
@@ -201,7 +239,7 @@ def test_search_allocation_is_bounded():
     A = rank2(300)
     tracemalloc.start()
     try:
-        _aut_data.__wrapped__(A)
+        _search(A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -359,6 +359,26 @@ def test_wreath_decompositions_examples():
     assert Section(4, 4) in wreath_decompositions(W8)
 
 
+def _wreath_decompositions_by_radicals(A):
+    """Reference: (u, l) such that the radical of every class outside U
+    contains L, from `radical_of_class`."""
+    ags = a_groups(A)
+    rad = [radical_of_class(A, i) for i in range(A.rank)]
+    out = []
+    for u in ags[:-1]:
+        outside = [i for i, c in enumerate(A.classes) if any(x % (A.n // u) for x in c)]
+        out += [Section(u, l) for l in ags[1:] if u % l == 0 and all(rad[i] % l == 0 for i in outside)]
+    return out
+
+
+def test_wreath_decompositions_match_the_radicals(catalogs):
+    # the O(n) coset test against the radical of every class outside U
+    rings = [A for n in range(1, 49) for A in catalogs[n].rings]
+    assert len(rings) == 3061
+    for A in rings:
+        assert wreath_decompositions(A) == _wreath_decompositions_by_radicals(A), A.key()
+
+
 def test_multiplier_stabilizer_and_is_cyclotomic():
     assert multiplier_stabilizer(group_ring(6)) == [1]
     assert is_cyclotomic(group_ring(6)).elements == (1,)

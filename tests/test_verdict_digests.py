@@ -10,7 +10,9 @@ over the rings of `census(72)`, which
 earlier mask-based search (commit 640d6cd) writes.  The order of aut(A)
 and the orbits of its 0-stabilizer are invariants of the ring, not of how
 the search finds them, so any later search (a refinement search included)
-must reproduce every entry exactly.
+must reproduce every entry exactly.  The public entry points decide plain
+wreath products from their factors, so the n <= 36 file is also checked
+against the bare search, `schurity._search`.
 
 Regenerate the three files (only when a verdict change is intended):
 
@@ -20,9 +22,10 @@ Regenerate the three files (only when a verdict change is intended):
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 from schurring.catalog import census, enumerate_srings
-from schurring.schurity import is_schurian
+from schurring.schurity import _search, is_schurian
 
 DATA = Path(__file__).resolve().parent / "data"
 DIGESTS_PATH = DATA / "verdict_digests.json"
@@ -51,8 +54,14 @@ def verdicts_entry(pairs) -> dict:
     return {"count": len(lines), "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest()}
 
 
-def digest_entry(rings, budget: int) -> dict:
-    return verdicts_entry((A, is_schurian(A, budget)) for A in rings)
+def bare_search(A, budget: int):
+    """The search's verdict fields, without the plain wreath assembly."""
+    data = _search(A, budget)
+    return SimpleNamespace(aut_order=data.order, stabilizer_orbits=data.stabilizer_orbits)
+
+
+def digest_entry(rings, budget: int, decide=is_schurian) -> dict:
+    return verdicts_entry((A, decide(A, budget)) for A in rings)
 
 
 def census_entry(report) -> dict:
@@ -63,16 +72,22 @@ def digest_table(orders, budget: int) -> dict:
     return {str(n): digest_entry(enumerate_srings(n).rings, budget) for n in orders}
 
 
-def check_frozen(path, orders, budget: int, catalogs) -> None:
+def check_frozen(path, orders, budget: int, catalogs, decide=is_schurian) -> None:
     frozen = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(frozen, key=int) == [str(n) for n in orders]
     for n in orders:
-        got = digest_entry(catalogs[n].rings, budget)
+        got = digest_entry(catalogs[n].rings, budget, decide)
         assert got == frozen[str(n)], f"n={n}: verdicts differ from the frozen digest"
 
 
 def test_verdicts_match_frozen_digests(catalogs):
     check_frozen(DIGESTS_PATH, range(1, MAX_N + 1), BUDGET, catalogs)
+
+
+def test_bare_search_matches_frozen_digests(catalogs):
+    # the public entry points decide the 752 plain wreath products n <= 36
+    # from their factors; this keeps the search itself checked on them
+    check_frozen(DIGESTS_PATH, range(1, MAX_N + 1), BUDGET, catalogs, bare_search)
 
 
 def test_verdicts_37_71_match_frozen_digests(catalogs):
