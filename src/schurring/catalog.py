@@ -7,9 +7,10 @@ each divisor's rings are indexed once by their quotient and restriction
 sections, and only pairs whose sections agree are glued.  Sections are
 looked up by key among the catalog rings of smaller order.  Every ring
 the closure builds is an S-ring by theorem, so none is validated; a
-product's key is computed first, and its ring is built once per
-distinct key.  `brute_force_enumerate` is the independent oracle: it
-walks all negation-closed partitions of Z_n \\ {0} and filters them by
+product's key, its point labels numbered by first appearance, is
+computed first, and its classes are listed once per distinct key.
+`brute_force_enumerate` is the independent oracle: it walks all
+negation-closed partitions of Z_n \\ {0} and filters them by
 `validate`.  `census` joins a catalog with the schurity decision and
 checks the result against the arithmetic classification.
 """
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import classify, divisors
-from .construct import MultiplierGroup, cyclotomic, gen_wreath_classes, tensor_classes, units
+from .construct import MultiplierGroup, _gen_wreath_labels, _tensor_labels, cyclotomic, rank2, units
 from .errors import CapExceeded, NotAnAGroup, SchurRingError
-from .sring import SRing, _from_canonical, canonical_classes, quotient, restrict, validate
+from .sring import SRing, _first_seen, _from_labels, quotient, restrict, validate
 from .schurity import SchurityVerdict, is_schurian
 
 DEFAULT_CAP = 72
@@ -84,11 +85,12 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     rings of order n2 are grouped by their restriction to the order-m
     subgroup, the rings of order n1 by their quotient by the order-n1/m
     subgroup, and only rings in groups with equal sections are glued.
-    Every product's canonical key is computed first, and its ring is
-    built once per distinct key, unvalidated: the products are S-rings
-    by theorem.  Sections are S-rings of smaller order, so each one
-    (`quotient`/`restrict`, once per ring and subgroup order) is looked
-    up by key among the catalog rings; a miss raises KeyError.  The
+    Every product's key, its point labels numbered by first appearance,
+    is computed first, and its classes are listed once per distinct key,
+    unvalidated: the products are S-rings by theorem.  Sections are
+    S-rings of smaller order, so each one (`quotient`/`restrict`, once
+    per ring and subgroup order) is looked up by key among the catalog
+    rings; a miss raises KeyError.  The
     memos, local to this call, hold only ring ids.
     """
     if n > cap:
@@ -121,15 +123,15 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 ids[A.key()] = len(ids)
                 found.append(A)
 
-        def add_product(order: int, classes):
-            canon = canonical_classes(classes)
-            if (order, canon) not in ids:
-                add(_from_canonical(order, canon))
+        def add_product(order: int, raw):
+            class_of = _first_seen(raw)
+            if (order, class_of) not in ids:
+                add(_from_labels(order, class_of))
 
         for K in unit_subgroups(d):
             add(cyclotomic(K))
         if d >= 2:
-            add_product(d, [[0], range(1, d)])
+            add(rank2(d))
         # tensor products over coprime factorizations
         for d1 in divisors(d):
             d2 = d // d1
@@ -137,7 +139,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 continue
             for A1 in per_divisor[d1]:
                 for A2 in per_divisor[d2]:
-                    add_product(*tensor_classes(A1, A2))
+                    add_product(*_tensor_labels(A1, A2))
         # generalized wreath products glued over a common section
         for n1 in divisors(d):
             if n1 == 1 or n1 == d:
@@ -152,7 +154,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 for sid, left in by_section(quotient, n1, n1 // m).items():
                     for A1 in left:
                         for A2 in right.get(sid, ()):
-                            add_product(*gen_wreath_classes(A1, A2, m))
+                            add_product(*_gen_wreath_labels(A1, A2, m))
         per_divisor[d] = found
 
     rings = _catalog_order(per_divisor[n])

@@ -6,6 +6,9 @@ group of multipliers (Schur), the rank-2 ring, the tensor product of
 rings over coprime orders, and the generalized wreath product of rings
 whose order-m sections agree (Evdokimov-Ponomarenko).  So the builders
 check only their arguments and construct their rings without `validate`.
+Each one labels every point of Z_n with its class, as an orbit label, a
+pair of factor classes, or a class of one side of the wreath product,
+and `_from_labels` numbers the labels into the canonical form.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .arith import divisors, omega_star
 from .errors import IncompatibleSection, NotCoprime
-from .perm import merge_orbits, orbits_of_perms
-from .sring import SRing, _from_canonical, canonical_classes, quotient, restrict
+from .perm import merge_orbits
+from .sring import SRing, _from_labels, quotient, restrict
 
 
 @dataclass(frozen=True)
@@ -67,42 +70,29 @@ def cyclotomic(K: MultiplierGroup) -> SRing:
     for g in K.generators:
         if math.gcd(g, n) != 1:
             raise ValueError(f"{g} is not a unit mod {n}")
-    return _from_canonical(n, tuple(orbits_of_perms(n, _multipliers(n, K.generators))))
+    return _from_labels(n, merge_orbits(np.arange(n), _multipliers(n, K.generators)).tolist())
 
 
 def rank2(n: int) -> SRing:
     """Classes {0} and Z_n \\ {0}."""
     if n < 2:
         raise ValueError("rank2 needs n >= 2")
-    return _from_canonical(n, ((0,), tuple(range(1, n))))
+    return _from_labels(n, [0] + [1] * (n - 1))
 
 
-def _crt_coeffs(n1: int, n2: int) -> tuple[int, int]:
-    # e1 = 1 mod n1, 0 mod n2; e2 the other way round
-    e1 = n2 * pow(n2, -1, n1) if n1 > 1 else 0
-    e2 = n1 * pow(n1, -1, n2) if n2 > 1 else 0
-    return e1, e2
-
-
-def tensor_classes(A1: SRing, A2: SRing) -> tuple[int, list[list[int]]]:
-    """Order and (unvalidated) classes of the tensor product; orders coprime."""
-    n1, n2 = A1.n, A2.n
-    n = n1 * n2
-    e1, e2 = _crt_coeffs(n1, n2)
-    classes = [
-        [(x * e1 + y * e2) % n for x in X for y in Y]
-        for X in A1.classes
-        for Y in A2.classes
-    ]
-    return n, classes
+def _tensor_labels(A1: SRing, A2: SRing) -> tuple[int, list[int]]:
+    """Order and point labels of the tensor product; orders coprime.  By
+    CRT, z lies in the product of the classes of z mod n1 and z mod n2."""
+    n1, n2, r2 = A1.n, A2.n, A2.rank
+    # the tuple c repeated k times holds c[z mod len(c)] at every z
+    return n1 * n2, [a * r2 + b for a, b in zip(A1.class_of * n2, A2.class_of * n1)]
 
 
 def tensor(A1: SRing, A2: SRing) -> SRing:
     """Tensor product over Z_{n1*n2} via the CRT bijection (coprime orders)."""
     if math.gcd(A1.n, A2.n) != 1:
         raise NotCoprime(f"{A1.n} and {A2.n} are not coprime")
-    n, classes = tensor_classes(A1, A2)
-    return _from_canonical(n, canonical_classes(classes))
+    return _from_labels(*_tensor_labels(A1, A2))
 
 
 def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
@@ -120,24 +110,21 @@ def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
     right = restrict(A2, m)
     if left.key() != right.key():
         raise IncompatibleSection(left, right)
-    n, classes = gen_wreath_classes(A1, A2, m)
-    return _from_canonical(n, canonical_classes(classes))
+    return _from_labels(*_gen_wreath_labels(A1, A2, m))
 
 
-def gen_wreath_classes(A1: SRing, A2: SRing, m: int) -> tuple[int, list[list[int]]]:
-    """Order and (unvalidated) classes of the generalized wreath product;
-    the caller has checked that the order-m sections of A1 and A2 agree."""
+def _gen_wreath_labels(A1: SRing, A2: SRing, m: int) -> tuple[int, list[int]]:
+    """Order and point labels of the generalized wreath product; the caller
+    has checked that the order-m sections of A1 and A2 agree."""
     n1, n2 = A1.n, A2.n
     n = n1 * n2 // m
     lift = n2 // m  # i_{n1, n}: multiply by n/n1
-    classes = [[x * lift % n for x in X] for X in A1.classes]
-    step2 = n2 // m  # subgroup of order m in Z_{n2}
-    cosets = n1 // m  # index of the kernel of the mod-n2 projection
-    for Y in A2.classes:
-        if all(y % step2 == 0 for y in Y):
-            continue  # inside Z_m: covered by A1's side
-        classes.append([y + j * n2 for y in Y for j in range(cosets)])
-    return n, classes
+    # outside U, z is in the preimage of the A2-class of z mod n2, which
+    # lies outside Z_m; U is the multiples of lift, labelled by A1
+    r1 = A1.rank
+    labels = [r1 + c for c in A2.class_of] * (n1 // m)
+    labels[::lift] = A1.class_of
+    return n, labels
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ negation, and for every pair of classes (X, Y) the convolution counts
 `validate` checks a partition that comes from outside.  A partition that
 is an S-ring by theorem is not checked again: `restrict` and `quotient`
 (a section of an S-ring by A-groups is an S-ring) and the builders in
-`construct` hand their canonical classes straight to `_from_canonical`.
+`construct` hand a label for every point straight to `_from_labels`.
 
 `validate` checks the product axiom one class X at a time.  Colour each
 point by its class: colour j occurs #{x in X : z - x in Y_j} times in the
@@ -17,7 +17,12 @@ every class for all Y iff the sorted colours of z - X depend only on the
 class of z: one stable Weisfeiler-Leman round on the Cayley colour matrix.
 
 Canonical form is the one equality notion used everywhere: classes hold
-ascending elements and are ordered by their minimum element.
+ascending elements and are ordered by their minimum element.  Every ring
+is built by `_from_labels` from a labelling of the points, numbered by
+first appearance: class i is the i-th distinct label met from point 0
+upward, which is exactly the i-th class by minimum.  So `class_of` alone
+fixes the ring, and two labellings give the same ring iff they induce the
+same partition.
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ class SRing:
         return f"SRing(n={self.n}, rank={self.rank})"
 
     def key(self) -> tuple:
-        """Hashable canonical identity (used for dedup and equality tests)."""
-        return (self.n, self.classes)
+        """Hashable canonical identity (used for dedup and equality tests):
+        the order and the class labels, which determine the classes."""
+        return (self.n, self.class_of)
 
 
 @dataclass(frozen=True)
@@ -84,15 +90,6 @@ class RadicalReport:
     ring_radical: int
 
 
-def canonical_classes(classes) -> tuple[tuple[int, ...], ...]:
-    """The canonical class order: ascending elements, classes by minimum.
-
-    For a valid partition of Z_n, `(n, canonical_classes(classes))` is the
-    key of the ring that `validate` returns.
-    """
-    return tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0] if c else -1))
-
-
 def validate(n: int, classes) -> SRing:
     """Check all S-ring axioms and return the canonical SRing.
 
@@ -109,19 +106,21 @@ def validate(n: int, classes) -> SRing:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    canon = canonical_classes(classes)
+    classes = [tuple(c) for c in classes]
     # n distinct elements in range cover Z_n; checking the count first
     # also keeps a huge n with few elements from allocating anything
-    if sum(map(len, canon)) != n:
+    if sum(map(len, classes)) != n:
         raise NotAPartition("class sizes do not sum to n")
-    seen = [False] * n
-    for c in canon:
+    raw = [-1] * n
+    for i, c in enumerate(classes):
         if not c:
             raise NotAPartition("empty class")
         for x in c:
-            if not 0 <= x < n or seen[x]:
+            if not 0 <= x < n or raw[x] >= 0:
                 raise NotAPartition(f"element {x} repeated or out of range")
-            seen[x] = True
+            raw[x] = i
+    A = _from_labels(n, raw)
+    canon = A.classes
     if canon[0] != (0,):
         raise ZeroClassNotSingleton("class of 0 must be exactly {0}")
 
@@ -130,8 +129,7 @@ def validate(n: int, classes) -> SRing:
     sizes = [len(c) for c in canon]
     offsets = np.cumsum([0] + sizes[:-1])
     start = np.repeat(offsets, sizes)
-    C = np.empty(n, np.intp)
-    C[order] = np.repeat(np.arange(len(canon)), sizes)
+    C = np.array(A.class_of, np.intp)
 
     # each axiom: a per-point array is constant on every class, i.e. its
     # value at position p equals its value at start[p]
@@ -156,22 +154,30 @@ def validate(n: int, classes) -> SRing:
                 y = (counts[0] != counts[1]).argmax()
                 raise NotClosedUnderProduct(X, canon[y], int(pts[q]), int(pts[p]))
 
-    return _from_canonical(n, canon)
+    return A
 
 
-def _from_canonical(n: int, canon: tuple[tuple[int, ...], ...]) -> SRing:
-    """The SRing whose classes are `canon`, a canonical partition of Z_n
-    that satisfies the axioms; nothing is checked."""
-    class_of = [0] * n
-    for i, c in enumerate(canon):
-        for x in c:
-            class_of[x] = i
-    return SRing(n, canon, tuple(class_of))
+def _first_seen(raw) -> tuple[int, ...]:
+    """The sequence of labels `raw` renumbered by first appearance: the
+    canonical `class_of` of the partition they induce."""
+    # dict keys keep their insertion order: the distinct labels as first met
+    ids = {c: i for i, c in enumerate(dict.fromkeys(raw))}
+    return tuple(map(ids.__getitem__, raw))
+
+
+def _from_labels(n: int, raw) -> SRing:
+    """The SRing whose classes are the points of Z_n sharing a label in
+    `raw`, a partition that satisfies the axioms; nothing is checked."""
+    class_of = _first_seen(raw)
+    classes = [[] for _ in range(max(class_of) + 1)]
+    for x, c in enumerate(class_of):
+        classes[c].append(x)
+    return SRing(n, tuple(map(tuple, classes)), class_of)
 
 
 def group_ring(n: int) -> SRing:
     """The full group ring: all classes are singletons."""
-    return _from_canonical(n, tuple((i,) for i in range(n)))
+    return _from_labels(n, range(n))
 
 
 def _is_a_group(A: SRing, d: int) -> bool:
@@ -189,10 +195,7 @@ def restrict(A: SRing, d: int) -> SRing:
     """A_H for the A-group H of order d, relabeled to Z_d via x -> x/(n/d)."""
     if not _is_a_group(A, d):
         raise NotAnAGroup(f"order {d} is not an A-group of {A!r}")
-    step = A.n // d
-    # x -> x/step keeps the order of elements and of class minima
-    return _from_canonical(d, tuple(tuple(x // step for x in A.classes[i])
-                                    for i in sorted(set(A.class_of[::step]))))
+    return _from_labels(d, A.class_of[::A.n // d])
 
 
 def quotient(A: SRing, l: int) -> SRing:
@@ -200,9 +203,10 @@ def quotient(A: SRing, l: int) -> SRing:
     if not _is_a_group(A, l):
         raise NotAnAGroup(f"order {l} is not an A-group of {A!r}")
     m = A.n // l
-    # images of classes coincide or are disjoint; each is kept once, at its
-    # first preimage class, whose minimum is the image's minimum
-    return _from_canonical(m, tuple(dict.fromkeys(tuple(sorted({x % m for x in c})) for c in A.classes)))
+    # images of classes coincide or are disjoint, and a class meets every
+    # coset x + L of its image: so the classes meeting x + L are those with
+    # x's image, and the least of them labels x
+    return _from_labels(m, [min(A.class_of[x::m]) for x in range(m)])
 
 
 def restrict_section(A: SRing, s: Section) -> SRing:

@@ -95,13 +95,14 @@ def test_only_the_boundary_validates(monkeypatch, tmp_path):
 
 def test_enumerate_rejects_a_section_outside_the_catalog(monkeypatch):
     # a quotient whose class of 0 is merged into its neighbour is no S-ring,
-    # so its key is missing from the catalog and the lookup must fail
+    # so its key is missing from the catalog and the lookup must fail; the
+    # key is the labels, so they are merged along with the classes
     def merged(A, l):
         B = quotient(A, l)
         classes = B.classes
         if len(classes) > 1:
             classes = (classes[0] + classes[1], *classes[2:])
-        return dataclasses.replace(B, classes=classes)
+        return dataclasses.replace(B, classes=classes, class_of=tuple(max(c - 1, 0) for c in B.class_of))
 
     monkeypatch.setattr(catalog_mod, "quotient", merged)
     with pytest.raises(KeyError):

@@ -1,5 +1,6 @@
 """Builders: cyclotomic rings, tensor, generalized wreath, witness."""
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from schurring.construct import (
     witness,
     witness_detailed,
 )
-from schurring.errors import IncompatibleSection, NotCoprime
+from schurring.errors import IncompatibleSection, NotAnAGroup, NotCoprime
 from schurring.sring import (
     Section,
     group_ring,
@@ -112,6 +113,68 @@ def test_tensor_examples():
     assert lhs.key() == rhs.key()
     with pytest.raises(NotCoprime):
         tensor(group_ring(2), group_ring(4))
+
+
+def _tensor_by_crt(A1, A2):
+    """Classes of the tensor product straight from the definition: the
+    images of X x Y under the CRT bijection (x, y) -> x*e1 + y*e2."""
+    n1, n2 = A1.n, A2.n
+    n = n1 * n2
+    # e1 = 1 mod n1, 0 mod n2; e2 the other way round
+    e1 = n2 * pow(n2, -1, n1) if n1 > 1 else 0
+    e2 = n1 * pow(n1, -1, n2) if n2 > 1 else 0
+    return [[(x * e1 + y * e2) % n for x in X for y in Y] for X in A1.classes for Y in A2.classes]
+
+
+def _gen_wreath_by_preimages(A1, A2, m):
+    """Classes of the generalized wreath product straight from the
+    definition: A1's classes lifted into U, and the full preimages of the
+    A2-classes outside Z_m under the projection mod n2."""
+    n1, n2 = A1.n, A2.n
+    n = n1 * n2 // m
+    lift = n2 // m  # i_{n1, n}: multiply by n/n1
+    classes = [[x * lift % n for x in X] for X in A1.classes]
+    for Y in A2.classes:
+        if any(y % lift for y in Y):
+            classes.append([y + j * n2 for y in Y for j in range(n1 // m)])
+    return classes
+
+
+def _canonical(classes):
+    return tuple(sorted(tuple(sorted(c)) for c in classes))
+
+
+def test_tensor_matches_the_crt_definition(catalogs):
+    pairs = 0
+    for n1 in range(1, 61):
+        for n2 in range(1, 60 // n1 + 1):
+            if math.gcd(n1, n2) != 1:
+                continue
+            for A1 in catalogs[n1].rings:
+                for A2 in catalogs[n2].rings:
+                    A = tensor(A1, A2)
+                    assert A.n == n1 * n2 and A.classes == _canonical(_tensor_by_crt(A1, A2)), (A1, A2)
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_gen_wreath_matches_the_preimage_definition(catalogs):
+    pairs = 0
+    for n1 in range(1, 25):
+        for n2 in range(1, 25):
+            for m in range(1, math.gcd(n1, n2) + 1):
+                if n1 % m or n2 % m or n1 * n2 // m > 24:
+                    continue
+                for A1 in catalogs[n1].rings:
+                    for A2 in catalogs[n2].rings:
+                        try:
+                            A = gen_wreath(A1, A2, m)
+                        except (IncompatibleSection, NotAnAGroup):
+                            continue
+                        want = _canonical(_gen_wreath_by_preimages(A1, A2, m))
+                        assert A.n == n1 * n2 // m and A.classes == want, (A1, A2, m)
+                        pairs += 1
+    assert pairs > 1000
 
 
 def test_tensor_rank_multiplies():

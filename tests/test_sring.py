@@ -1,5 +1,6 @@
 """The S-ring data model: validation, sections, radicals, structure flags."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -18,8 +19,8 @@ from schurring.errors import (
 )
 from schurring.sring import (
     Section,
+    _from_labels,
     a_groups,
-    canonical_classes,
     group_ring,
     highest_classes,
     is_cyclotomic,
@@ -37,6 +38,12 @@ from schurring.sring import (
     validate,
     wreath_decompositions,
 )
+
+
+def canonical_classes(classes):
+    """The canonical class order by sorting, the reference for the labels
+    numbered by first appearance: ascending elements, classes by minimum."""
+    return tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0] if c else -1))
 
 
 def _validate_by_pairs(n, classes):
@@ -98,6 +105,24 @@ def test_validate_wreath_style_ring():
 def test_validate_canonicalizes_input_order():
     A = validate(4, [[3, 1], [2], [0]])
     assert A.key() == W4.key()
+    # classes and their elements may each come as one-shot iterables
+    assert validate(4, (reversed(c) for c in [[1, 3], [2], [0]])) == W4
+
+
+def test_labels_numbered_by_first_appearance_are_canonical(catalogs):
+    rng = random.Random(11)
+    for n in range(1, 37):
+        for A in catalogs[n].rings:
+            names = rng.sample(range(4 * n), A.rank)  # an injective renaming
+            raw = [names[c] for c in A.class_of]
+            assert _from_labels(n, raw) == A, A.key()
+            blocks = {}
+            for x, c in enumerate(raw):
+                blocks.setdefault(c, []).append(x)
+            assert A.classes == canonical_classes(blocks.values()), A.key()
+            shuffled = [rng.sample(c, len(c)) for c in A.classes]
+            rng.shuffle(shuffled)
+            assert validate(n, shuffled) == A, A.key()
 
 
 def test_validate_rejects_bad_partitions():
