@@ -2,17 +2,18 @@
 
 `enumerate_srings` generates the closure of cyclotomic and rank-2
 primitives under tensor and generalized wreath products, bottom-up over
-the divisor lattice.  The wreath step is a hash join on section keys:
-each divisor's rings are indexed once by their quotient and restriction
-sections, and only pairs whose sections agree are glued.  Sections are
-looked up by key among the catalog rings of smaller order.  Every ring
-the closure builds is an S-ring by theorem, so none is validated; a
-product's key, its point labels numbered by first appearance, is
-computed first, and its classes are listed once per distinct key.
-`brute_force_enumerate` is the independent oracle: it walks all
-negation-closed partitions of Z_n \\ {0} and filters them by
-`validate`.  `census` joins a catalog with the schurity decision and
-checks the result against the arithmetic classification.
+the divisor lattice.  The wreath step is a hash join on sections: each
+divisor's rings are indexed once by their quotient and restriction
+sections, and only pairs whose sections agree are glued.  Rings are
+keyed by their class-label vector, whose length fixes the order, and
+sections are looked up by it among the catalog rings of smaller order.
+Every ring the closure builds is an S-ring by theorem, so none is
+validated; a product is kept as a ring only when its labels, numbered by
+first appearance, are a new key.  `brute_force_enumerate` is the
+independent oracle: it walks all negation-closed partitions of
+Z_n \\ {0} and filters them by `validate`.  `census` joins a catalog
+with the schurity decision and checks the result against the arithmetic
+classification.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 from .arith import classify, divisors
 from .construct import MultiplierGroup, _gen_wreath_labels, _tensor_labels, cyclotomic, rank2, units
 from .errors import CapExceeded, NotAnAGroup, SchurRingError
-from .sring import SRing, _first_seen, _from_labels, quotient, restrict, validate
+from .sring import SRing, _first_seen, quotient, restrict, validate
 from .schurity import SchurityVerdict, is_schurian
 
 DEFAULT_CAP = 72
@@ -85,18 +86,17 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     rings of order n2 are grouped by their restriction to the order-m
     subgroup, the rings of order n1 by their quotient by the order-n1/m
     subgroup, and only rings in groups with equal sections are glued.
-    Every product's key, its point labels numbered by first appearance,
-    is computed first, and its classes are listed once per distinct key,
-    unvalidated: the products are S-rings by theorem.  Sections are
-    S-rings of smaller order, so each one (`quotient`/`restrict`, once
-    per ring and subgroup order) is looked up by key among the catalog
-    rings; a miss raises KeyError.  The
-    memos, local to this call, hold only ring ids.
+    Every product's labels are numbered by first appearance, and a ring
+    is built, unvalidated, only for a new label vector: the products are
+    S-rings by theorem.  Sections are S-rings of smaller order, so each
+    one (`quotient`/`restrict`, once per ring and subgroup order) is
+    looked up by its labels among the catalog rings; a miss raises
+    KeyError.  The memos, local to this call, hold only ring ids.
     """
     if n > cap:
         raise CapExceeded(f"n={n} exceeds cap {cap}")
-    # canonical key -> id, for every catalog ring of the divisors built so far
-    ids: dict[tuple, int] = {}
+    # class labels -> id, for every catalog ring of the divisors built so far
+    ids: dict[tuple[int, ...], int] = {}
     per_divisor: dict[int, list[SRing]] = {}
     groups: dict[tuple, dict[int, list[SRing]]] = {}
 
@@ -108,30 +108,26 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
             by_id: dict[int, list[SRing]] = {}
             for A in per_divisor[order]:
                 try:
-                    key = section(A, sub).key()
+                    labels = section(A, sub).class_of
                 except NotAnAGroup:
                     continue
-                by_id.setdefault(ids[key], []).append(A)
+                by_id.setdefault(ids[labels], []).append(A)
             groups[memo] = by_id
         return groups[memo]
 
     for d in divisors(n):
         found: list[SRing] = []
 
-        def add(A: SRing):
-            if A.key() not in ids:
-                ids[A.key()] = len(ids)
-                found.append(A)
-
-        def add_product(order: int, raw):
+        def add(order: int, raw):
             class_of = _first_seen(raw)
-            if (order, class_of) not in ids:
-                add(_from_labels(order, class_of))
+            if class_of not in ids:
+                ids[class_of] = len(ids)
+                found.append(SRing(order, class_of))
 
         for K in unit_subgroups(d):
-            add(cyclotomic(K))
+            add(d, cyclotomic(K).class_of)
         if d >= 2:
-            add(rank2(d))
+            add(d, rank2(d).class_of)
         # tensor products over coprime factorizations
         for d1 in divisors(d):
             d2 = d // d1
@@ -139,7 +135,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 continue
             for A1 in per_divisor[d1]:
                 for A2 in per_divisor[d2]:
-                    add_product(*_tensor_labels(A1, A2))
+                    add(*_tensor_labels(A1, A2))
         # generalized wreath products glued over a common section
         for n1 in divisors(d):
             if n1 == 1 or n1 == d:
@@ -154,7 +150,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 for sid, left in by_section(quotient, n1, n1 // m).items():
                     for A1 in left:
                         for A2 in right.get(sid, ()):
-                            add_product(*_gen_wreath_labels(A1, A2, m))
+                            add(*_gen_wreath_labels(A1, A2, m))
         per_divisor[d] = found
 
     rings = _catalog_order(per_divisor[n])
@@ -218,16 +214,17 @@ def _inverse_closed_partitions(n: int):
 
 def brute_force_enumerate(n: int, cap: int = BRUTE_CAP) -> Catalog:
     """Independent oracle: filter all candidate partitions by the validator."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds brute-force cap {cap}")
-    rings: dict[tuple, SRing] = {}
+    rings: set[SRing] = set()
     for part in _inverse_closed_partitions(n):
         try:
-            A = validate(n, [[0]] + part)
+            rings.add(validate(n, [[0]] + part))
         except SchurRingError:
             continue
-        rings[A.key()] = A
-    ordered = _catalog_order(rings.values())
+    ordered = _catalog_order(rings)
     return Catalog(n, tuple(ordered), len(ordered))
 
 

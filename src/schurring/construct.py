@@ -35,6 +35,8 @@ class MultiplierGroup:
 
     @classmethod
     def from_generators(cls, n: int, generators) -> "MultiplierGroup":
+        if n < 1:
+            raise ValueError(f"the modulus must be positive, got {n}")
         gens = tuple(g % n for g in generators) if n > 1 else (1,)
         for g in gens:
             if math.gcd(g, n) != 1:
@@ -104,11 +106,11 @@ def gen_wreath(A1: SRing, A2: SRing, m: int = 1) -> SRing:
     under the quotient-by-L map, where L has order n1/m.
     """
     n1, n2 = A1.n, A2.n
-    if n1 % m or n2 % m:
+    if m < 1 or n1 % m or n2 % m:
         raise ValueError(f"m={m} must divide both {n1} and {n2}")
     left = quotient(A1, n1 // m)
     right = restrict(A2, m)
-    if left.key() != right.key():
+    if left != right:
         raise IncompatibleSection(left, right)
     return _from_labels(*_gen_wreath_labels(A1, A2, m))
 
@@ -203,7 +205,7 @@ def witness_detailed(n1: int, n2: int) -> WitnessConstruction:
     else:
         expected = gen_wreath(cyclotomic(k_m(4)), cyclotomic(k_m(4)), 2)
     got = quotient(a12, a12.n // n1)
-    if got.key() != expected.key():
+    if got != expected:
         raise AssertionError("witness intermediate identity failed")
 
     if swapped:

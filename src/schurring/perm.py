@@ -335,7 +335,7 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     per-coset components are those preimages, and (ii) the kernel of
     delta1's section map acting on the block U alone.
     """
-    if u % l or n % u:
+    if min(l, u) < 1 or u % l or n % u:
         raise ValueError("need l | u | n")
     if delta1.degree != u or delta0.degree != n // l:
         raise ValueError("degrees must be u and n/l")

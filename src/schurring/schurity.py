@@ -25,9 +25,9 @@ fails kills w's whole orbit under the generators found so far: if h(w)
 were an image of v for some such h, w would be one too.  The generators
 found form a strong generating set of the stabilizer relative to the
 base, which gives both the group order (product of the orbit sizes along
-the chain) and the stabilizer orbit partition.  Orbits are one label
-vector, the least point of each orbit, merged with `perm.merge_orbits`
-when a generator is added.
+the chain) and the stabilizer orbits: one label vector, the least point
+of each orbit, merged with `perm.merge_orbits` when a generator is added
+and listed as orbits only by `is_schurian`.
 
 Every frame of a DFS first reads off the map nearest the identity: a
 point that is one of its own cell's targets stays, and the other points
@@ -56,8 +56,8 @@ decides A_U = `restrict(A, u)` and A_{G/U} = `quotient(A, u)` by
 multiples of m and its cosets are the residues mod m:
 
 - the order |aut(A_U)|^m * |aut(A_{G/U})|;
-- the 0-stabilizer orbits: those of A_U scaled by m into U, and the
-  preimage {x : x mod m in O} of every non-zero orbit O of A_{G/U};
+- the 0-stabilizer orbit labels: those of A_U scaled by m on U, and off
+  U that of x mod m in A_{G/U}, the least point of its orbit's preimage;
 - the generators: A_U's stabilizer generators acting on U; for the least
   coset c of every non-zero orbit of A_{G/U}, the translation of Z_u and
   A_U's stabilizer generators acting on c + mZ alone; and every
@@ -125,7 +125,7 @@ class SchurityVerdict:
 class _AutData:
     stabilizer_gens: tuple[tuple[int, ...], ...]
     order: int
-    stabilizer_orbits: tuple[tuple[int, ...], ...]
+    orbit: tuple[int, ...]  # orbit[x]: the least point of x's 0-stabilizer orbit
 
 
 def _relabel(keys: np.ndarray) -> np.ndarray:
@@ -156,16 +156,9 @@ def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
     U is the multiples of m and its cosets are the residues mod m."""
     x = np.arange(u * m)
     res = x % m
-
-    def least_points(orbits, k):
-        lab = np.empty(k, dtype=np.intp)
-        for o in orbits:
-            lab[list(o)] = o[0]
-        return lab
-
     # outside U, the preimage of an orbit O of aut(A_{G/U})_0 starts at min O
-    lab = least_points(outer.stabilizer_orbits, m)[res]
-    lab[::m] = m * least_points(inner.stabilizer_orbits, u)
+    lab = np.asarray(outer.orbit)[res]
+    lab[::m] = m * np.asarray(inner.orbit)
 
     def on_coset(c, g):
         """g, a permutation of Z_u, acting on the coset c + mZ alone."""
@@ -175,11 +168,12 @@ def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
 
     gens = [on_coset(0, g) for g in inner.stabilizer_gens]
     shift = tuple(range(1, u)) + (0,)
-    for o in outer.stabilizer_orbits[1:]:  # orbit 0 is {0}, the coset U
-        gens += [on_coset(o[0], g) for g in (shift, *inner.stabilizer_gens)]
+    for c in range(1, m):  # the least coset of every orbit but {0}, i.e. U
+        if outer.orbit[c] == c:
+            gens += [on_coset(c, g) for g in (shift, *inner.stabilizer_gens)]
     gens += [np.asarray(g, dtype=np.intp)[res] + x - res for g in outer.stabilizer_gens]
     return _AutData(tuple(tuple(g.tolist()) for g in gens), inner.order ** m * outer.order,
-                    tuple(orbit_partition(lab)))
+                    tuple(lab.tolist()))
 
 
 def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
@@ -277,7 +271,7 @@ def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
             orb = merge_orbits(orb, (f,))
             todo = todo[orb[todo] != orb[v]]
         order *= int(np.count_nonzero(orb == orb[v]))
-    return _AutData(tuple(gens), order, tuple(orbit_partition(orb)))
+    return _AutData(tuple(gens), order, tuple(orb.tolist()))
 
 
 def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:
@@ -301,15 +295,16 @@ def is_schurian(A: SRing, budget: Optional[int] = None) -> SchurityVerdict:
     witness is the first orbit properly contained in its class.
     """
     data = _aut_data(A, budget)
-    schurian = len(data.stabilizer_orbits) == A.rank
+    orbits = tuple(orbit_partition(data.orbit))
+    schurian = len(orbits) == A.rank
     mismatch = None
     if not schurian:
-        for orb in data.stabilizer_orbits:
+        for orb in orbits:
             cls = A.class_of[orb[0]]
             if len(orb) < len(A.classes[cls]):
                 mismatch = (orb, cls)
                 break
-    return SchurityVerdict(schurian, data.order, data.stabilizer_orbits, mismatch)
+    return SchurityVerdict(schurian, data.order, orbits, mismatch)
 
 
 def is_normal_sring(A: SRing, budget: Optional[int] = None) -> bool:

@@ -1,9 +1,17 @@
 """The S-ring data model over Z_n.
 
-An S-ring is stored as a partition of {0, ..., n-1} into basic sets
-("classes"): class 0 is exactly {0}, the partition is closed under
-negation, and for every pair of classes (X, Y) the convolution counts
+An S-ring is a partition of {0, ..., n-1} into basic sets ("classes"):
+class 0 is exactly {0}, the partition is closed under negation, and for
+every pair of classes (X, Y) the convolution counts
 #{(x, y) in X x Y : x + y = z} are constant over each class Z.
+
+`SRing` stores the partition once, as its class-label vector `class_of`,
+numbered by first appearance: class i is the i-th distinct label met
+from point 0 upward, which is exactly the i-th class by minimum element.
+Two labellings give the same vector iff they induce the same partition,
+so `==` and `hash` on (n, class_of) are the ring's identity.  The classes
+themselves, ascending and ordered by their minimum, are listed from the
+labels the first time they are read.
 
 `validate` checks a partition that comes from outside.  A partition that
 is an S-ring by theorem is not checked again: `restrict` and `quotient`
@@ -15,18 +23,11 @@ point by its class: colour j occurs #{x in X : z - x in Y_j} times in the
 multiset z - X, the coefficient of z in X * Y_j.  So X * Y is constant on
 every class for all Y iff the sorted colours of z - X depend only on the
 class of z: one stable Weisfeiler-Leman round on the Cayley colour matrix.
-
-Canonical form is the one equality notion used everywhere: classes hold
-ascending elements and are ordered by their minimum element.  Every ring
-is built by `_from_labels` from a labelling of the points, numbered by
-first appearance: class i is the i-th distinct label met from point 0
-upward, which is exactly the i-th class by minimum.  So `class_of` alone
-fixes the ring, and two labellings give the same ring iff they induce the
-same partition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -52,24 +53,28 @@ VALIDATE_BLOCK_CELLS = 2**20
 
 @dataclass(frozen=True)
 class SRing:
-    """An S-ring over Z_n, in canonical form.  Construct a partition that
-    comes from outside via `validate`."""
+    """An S-ring over Z_n, stored as its canonical class labels.  Construct
+    a partition that comes from outside via `validate`."""
 
     n: int
-    classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
-    @property
+    # cached_property writes the instance __dict__, which slows later attribute
+    # reads in CPython 3.11: loops over points read n and class_of into locals
+    @functools.cached_property
     def rank(self) -> int:
-        return len(self.classes)
+        return max(self.class_of) + 1
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The basic sets, ascending, in order of their least element."""
+        classes = [[] for _ in range(self.rank)]
+        for x, c in enumerate(self.class_of):
+            classes[c].append(x)
+        return tuple(map(tuple, classes))
 
     def __repr__(self):
         return f"SRing(n={self.n}, rank={self.rank})"
-
-    def key(self) -> tuple:
-        """Hashable canonical identity (used for dedup and equality tests):
-        the order and the class labels, which determine the classes."""
-        return (self.n, self.class_of)
 
 
 @dataclass(frozen=True)
@@ -168,11 +173,7 @@ def _first_seen(raw) -> tuple[int, ...]:
 def _from_labels(n: int, raw) -> SRing:
     """The SRing whose classes are the points of Z_n sharing a label in
     `raw`, a partition that satisfies the axioms; nothing is checked."""
-    class_of = _first_seen(raw)
-    classes = [[] for _ in range(max(class_of) + 1)]
-    for x, c in enumerate(class_of):
-        classes[c].append(x)
-    return SRing(n, tuple(map(tuple, classes)), class_of)
+    return SRing(n, _first_seen(raw))
 
 
 def group_ring(n: int) -> SRing:
@@ -182,8 +183,11 @@ def group_ring(n: int) -> SRing:
 
 def _is_a_group(A: SRing, d: int) -> bool:
     """Whether d | n and the subgroup of order d is a union of classes: the
-    classes of its points hold d points in all."""
-    return d > 0 and A.n % d == 0 and sum(len(A.classes[i]) for i in set(A.class_of[::A.n // d])) == d
+    labels of its points occur on d points in all."""
+    if d < 1 or A.n % d:
+        return False
+    labels = set(A.class_of[::A.n // d])
+    return sum(map(labels.__contains__, A.class_of)) == d
 
 
 def a_groups(A: SRing) -> list[int]:
@@ -228,10 +232,9 @@ def sections(A: SRing, proper_only: bool = False) -> list[Section]:
 
 def radical_of_class(A: SRing, i: int) -> int:
     """|{g : g + X = X}| for class X = classes[i]; a divisor of n."""
-    X = set(A.classes[i])
+    n, X = A.n, set(A.classes[i])
     x0 = A.classes[i][0]
-    return sum(1 for g in range(A.n) if (x0 + g) % A.n in X
-               and all((x + g) % A.n in X for x in X))
+    return sum(1 for g in range(n) if (x0 + g) % n in X and all((x + g) % n in X for x in X))
 
 
 def highest_classes(A: SRing) -> list[int]:
@@ -307,12 +310,12 @@ def wreath_decompositions(A: SRing) -> list[Section]:
 
 def multiplier_stabilizer(A: SRing) -> list[int]:
     """Units m of Z_n with m*X = X for every class X (a group)."""
-    n = A.n
+    n, c = A.n, A.class_of
     return [
         m
         for m in range(1, n + 1 if n == 1 else n)
         if math.gcd(m, n) == 1
-        and all(A.class_of[m * x % n] == A.class_of[x] for x in range(n))
+        and all(c[m * x % n] == c[x] for x in range(n))
     ]
 
 
@@ -322,12 +325,14 @@ def is_cyclotomic(A: SRing):
 
     kstar = tuple(multiplier_stabilizer(A))
     K = MultiplierGroup(A.n, kstar, kstar)
-    return K if cyclotomic(K).classes == A.classes else None
+    return K if cyclotomic(K) == A else None
 
 
 def tensor_split(A: SRing, d: int) -> bool:
     """Whether A = A_H (x) A_H' for the complementary A-groups of orders d, n/d."""
     n = A.n
+    if d < 1 or n % d:
+        raise NotComplementary(f"{d} does not divide {n}")
     e = n // d
     if math.gcd(d, e) != 1:
         raise NotComplementary(f"{d} and {n // d} are not coprime")

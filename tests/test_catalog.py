@@ -95,14 +95,10 @@ def test_only_the_boundary_validates(monkeypatch, tmp_path):
 
 def test_enumerate_rejects_a_section_outside_the_catalog(monkeypatch):
     # a quotient whose class of 0 is merged into its neighbour is no S-ring,
-    # so its key is missing from the catalog and the lookup must fail; the
-    # key is the labels, so they are merged along with the classes
+    # so its labels are missing from the catalog and the lookup must fail
     def merged(A, l):
         B = quotient(A, l)
-        classes = B.classes
-        if len(classes) > 1:
-            classes = (classes[0] + classes[1], *classes[2:])
-        return dataclasses.replace(B, classes=classes, class_of=tuple(max(c - 1, 0) for c in B.class_of))
+        return dataclasses.replace(B, class_of=tuple(max(c - 1, 0) for c in B.class_of))
 
     monkeypatch.setattr(catalog_mod, "quotient", merged)
     with pytest.raises(KeyError):
@@ -110,6 +106,9 @@ def test_enumerate_rejects_a_section_outside_the_catalog(monkeypatch):
 
 
 def test_brute_force_examples():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="must be positive"):
+            brute_force_enumerate(n)
     assert brute_force_enumerate(2).count_exact == 1
     assert brute_force_enumerate(3).count_exact == 2
     assert brute_force_enumerate(4).count_exact == 3
@@ -123,10 +122,9 @@ def test_brute_force_examples():
 
 def test_catalog_entries_are_valid_and_deduplicated():
     cat = enumerate_srings(12)
-    keys = [A.key() for A in cat.rings]
-    assert len(keys) == len(set(keys))
+    assert len(set(cat.rings)) == len(cat.rings)
     for A in cat.rings:
-        assert validate(A.n, [list(c) for c in A.classes]).key() == A.key()
+        assert validate(A.n, [list(c) for c in A.classes]) == A
 
 
 def test_catalog_rings_are_multiplier_invariant():
@@ -183,6 +181,6 @@ def test_census_72_contains_nonschurian():
     assert rep.first_nonschurian is not None
     # census decides exactly the rings of enumerate_srings(72), so the
     # closure itself must hold the explicit witness
-    assert witness(8, 9).key() in {e.ring.key() for e in rep.entries}
+    assert witness(8, 9) in {e.ring for e in rep.entries}
     frozen = json.loads(CENSUS_72_PATH.read_text(encoding="utf-8"))
     assert census_entry(rep) == frozen

@@ -44,6 +44,9 @@ def test_multiplier_group_closure():
     assert K.elements == (1, 5, 7, 11)
     with pytest.raises(ValueError):
         MultiplierGroup.from_generators(12, [4])
+    for bad in (lambda: MultiplierGroup.from_generators(0, []), lambda: k_m(-4)):
+        with pytest.raises(ValueError, match="must be positive"):
+            bad()
     # reference: the products of the generators, straight from the definition
     rng = random.Random(5)
     for _ in range(300):
@@ -66,8 +69,8 @@ def test_k_m_examples():
 
 
 def test_cyclotomic_examples():
-    assert cyclotomic(MultiplierGroup.from_generators(6, [])).key() == group_ring(6).key()
-    assert cyclotomic(MultiplierGroup.from_generators(5, units(5))).key() == rank2(5).key()
+    assert cyclotomic(MultiplierGroup.from_generators(6, [])) == group_ring(6)
+    assert cyclotomic(MultiplierGroup.from_generators(5, units(5))) == rank2(5)
     A = cyclotomic(MultiplierGroup.from_generators(12, [5, 7]))
     assert A.classes == ((0,), (1, 5, 7, 11), (2, 10), (3, 9), (4, 8), (6,))
     assert A.rank == 6
@@ -104,13 +107,13 @@ def test_rank2_examples():
 
 
 def test_tensor_examples():
-    assert tensor(group_ring(2), group_ring(3)).key() == group_ring(6).key()
+    assert tensor(group_ring(2), group_ring(3)) == group_ring(6)
     T = tensor(rank2(3), rank2(5))
     assert T.n == 15 and T.rank == 4
     lhs = tensor(cyclotomic(k_m(4)), cyclotomic(k_m(3)))
     rhs = cyclotomic(MultiplierGroup.from_generators(12, [7, 5]))
     # K_4 x K_3 maps to <7, 5> = {1,5,7,11} under CRT
-    assert lhs.key() == rhs.key()
+    assert lhs == rhs
     with pytest.raises(NotCoprime):
         tensor(group_ring(2), group_ring(4))
 
@@ -187,11 +190,14 @@ def test_tensor_rank_multiplies():
 
 
 def test_gen_wreath_examples():
-    assert gen_wreath(group_ring(2), group_ring(2), 1).key() == W4.key()
+    assert gen_wreath(group_ring(2), group_ring(2), 1) == W4
     A = gen_wreath(cyclotomic(k_m(4)), cyclotomic(k_m(4)), 2)
-    assert A.key() == W8.key()
+    assert A == W8
     with pytest.raises(ValueError):
         gen_wreath(cyclotomic(k_m(4)), rank2(9), 3)  # 3 does not divide 4
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="must divide"):
+            gen_wreath(group_ring(6), group_ring(6), m)
     with pytest.raises(IncompatibleSection):
         # group ring of Z_4 vs the coarser order-4 section of cyc(K_8)
         gen_wreath(group_ring(4), cyclotomic(k_m(8)), 4)
@@ -217,8 +223,8 @@ def test_gen_wreath_restriction_and_quotient_recover_inputs():
         (group_ring(6), cyclotomic(k_m(6)), 2),
     ]:
         A = gen_wreath(A1, A2, m)
-        assert restrict(A, A1.n).key() == A1.key()
-        assert quotient(A, A1.n // m).key() == A2.key()
+        assert restrict(A, A1.n) == A1
+        assert quotient(A, A1.n // m) == A2
         u, l = A1.n, A1.n // m
         if l > 1 and u < A.n:
             assert Section(u, l) in wreath_decompositions(A)
@@ -233,7 +239,7 @@ def test_witness_8_9():
     assert Section(24, 3) in wreath_decompositions(w.ring)
     # already validated by construction; re-validate from raw data
     revalidated = validate(72, [list(c) for c in w.ring.classes])
-    assert revalidated.key() == w.ring.key()
+    assert revalidated == w.ring
 
 
 def test_witness_rings_revalidate():
@@ -266,7 +272,7 @@ def test_witness_argument_order_is_respected():
     # 8 may arrive as the second argument; the trace keeps the user's order
     w = witness_detailed(9, 8)
     assert w.n1 == 9 and w.n2 == 8 and w.branch == "special"
-    assert w.ring.key() == witness(8, 9).key()
+    assert w.ring == witness(8, 9)
 
 
 def test_witness_intermediate_identity():
@@ -275,11 +281,11 @@ def test_witness_intermediate_identity():
     w = witness_detailed(8, 9)
     got = quotient(w.a12, w.a12.n // 8)
     expected = gen_wreath(cyclotomic(k_m(4)), cyclotomic(k_m(4)), 2)
-    assert got.key() == expected.key()
+    assert got == expected
     w = witness_detailed(9, 16)
     got = quotient(w.a12, w.a12.n // 9)
     expected = gen_wreath(cyclotomic(k_m(3)), cyclotomic(k_m(3)), 1)
-    assert got.key() == expected.key()
+    assert got == expected
 
 
 def test_witness_rejects_bad_inputs():

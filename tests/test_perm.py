@@ -303,6 +303,9 @@ def test_perm_gen_wreath_preconditions():
         perm_gen_wreath(translations(3), translations(6), 6, 3, 2)  # 2 ∤ 3
     with pytest.raises(ValueError):
         perm_gen_wreath(translations(4), translations(6), 6, 4, 1)  # 4 ∤ 6
+    for u, l in ((0, 1), (3, 0)):
+        with pytest.raises(ValueError, match=r"need l \| u \| n"):
+            perm_gen_wreath(translations(3), translations(6), 6, u, l)
     with pytest.raises(ValueError):
         # delta1 must contain the translations of Z_u
         perm_gen_wreath(PermGroup(2, []), translations(4), 4, 2, 1)

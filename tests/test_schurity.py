@@ -10,7 +10,7 @@ from schurring.arith import classify
 from schurring.catalog import enumerate_srings
 from schurring.construct import MultiplierGroup, cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
-from schurring.perm import is_normal_subgroup, orbits_of_perms, translations
+from schurring.perm import is_normal_subgroup, orbit_partition, orbits_of_perms, translations
 from schurring.schurity import (
     MAX_SEARCH_DEGREE,
     _aut_data,
@@ -73,7 +73,9 @@ def test_stabilizer_chain_is_checked_independently():
         for g in data.stabilizer_gens:
             assert g[0] == 0 and is_color_automorphism(A, g)
         assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order
-        assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == data.stabilizer_orbits
+        assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == tuple(orbit_partition(data.orbit))
+        # every point is labelled by the least point of its orbit
+        assert all(data.orbit[data.orbit[x]] == data.orbit[x] <= x for x in range(A.n))
 
 
 def test_aut_order_is_multiplier_invariant():
@@ -199,7 +201,7 @@ def test_bare_search_budget_pins():
         data = _search(A, threshold)
         with pytest.raises(SearchBudgetExceeded):
             _search(A, threshold - 1)
-        assert (data.order, data.stabilizer_orbits) == (aut_order(A), is_schurian(A).stabilizer_orbits)
+        assert (data.order, tuple(orbit_partition(data.orbit))) == (aut_order(A), is_schurian(A).stabilizer_orbits)
 
 
 def test_plain_stalls_past_100_are_decided_from_their_factors():
@@ -219,7 +221,7 @@ def test_plain_stalls_past_100_are_decided_from_their_factors():
         assert is_schurian(A, budget).schurian
         for g in data.stabilizer_gens:
             assert g[0] == 0 and is_color_automorphism(A, g)
-        assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == data.stabilizer_orbits
+        assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == tuple(orbit_partition(data.orbit))
         # Schreier-Sims on Sym(11) wr Sym(13) takes most of a minute
         if A.rank > 3:
             assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order

@@ -93,7 +93,7 @@ W8 = validate(8, [[0], [4], [2, 6], [1, 3, 5, 7]])
 def test_validate_group_ring():
     A = validate(4, [[0], [1], [2], [3]])
     assert A.rank == 4
-    assert A.key() == group_ring(4).key()
+    assert A == group_ring(4)
 
 
 def test_validate_wreath_style_ring():
@@ -104,7 +104,7 @@ def test_validate_wreath_style_ring():
 
 def test_validate_canonicalizes_input_order():
     A = validate(4, [[3, 1], [2], [0]])
-    assert A.key() == W4.key()
+    assert A == W4
     # classes and their elements may each come as one-shot iterables
     assert validate(4, (reversed(c) for c in [[1, 3], [2], [0]])) == W4
 
@@ -115,14 +115,21 @@ def test_labels_numbered_by_first_appearance_are_canonical(catalogs):
         for A in catalogs[n].rings:
             names = rng.sample(range(4 * n), A.rank)  # an injective renaming
             raw = [names[c] for c in A.class_of]
-            assert _from_labels(n, raw) == A, A.key()
+            fresh = _from_labels(n, raw)
+            assert "classes" not in vars(fresh), A.class_of  # listed only when read
+            # equal and hashed alike before and after its classes are read
+            assert fresh == A and hash(fresh) == hash(A), A.class_of
             blocks = {}
             for x, c in enumerate(raw):
                 blocks.setdefault(c, []).append(x)
-            assert A.classes == canonical_classes(blocks.values()), A.key()
+            reference = canonical_classes(blocks.values())
+            assert fresh.classes == A.classes == reference, A.class_of
+            assert fresh.rank == A.rank == len(reference), A.class_of
+            assert fresh == A and hash(fresh) == hash(A), A.class_of
             shuffled = [rng.sample(c, len(c)) for c in A.classes]
             rng.shuffle(shuffled)
-            assert validate(n, shuffled) == A, A.key()
+            revalidated = validate(n, shuffled)
+            assert revalidated == A and hash(revalidated) == hash(A), A.class_of
 
 
 def test_validate_rejects_bad_partitions():
@@ -232,9 +239,9 @@ def test_a_groups_examples():
 
 
 def test_restrict_examples():
-    assert restrict(group_ring(12), 4).key() == group_ring(4).key()
-    assert restrict(W8, 4).key() == W4.key()
-    assert restrict(W8, 8).key() == W8.key()
+    assert restrict(group_ring(12), 4) == group_ring(4)
+    assert restrict(W8, 4) == W4
+    assert restrict(W8, 8) == W8
     with pytest.raises(NotAnAGroup):
         restrict(rank2(6), 2)
     for d in (0, 3, 16):  # no order of a subgroup of Z_8
@@ -245,9 +252,9 @@ def test_restrict_examples():
 
 
 def test_quotient_examples():
-    assert quotient(group_ring(12), 3).key() == group_ring(4).key()
-    assert quotient(W8, 2).key() == W4.key()
-    assert quotient(W8, 1).key() == W8.key()
+    assert quotient(group_ring(12), 3) == group_ring(4)
+    assert quotient(W8, 2) == W4
+    assert quotient(W8, 1) == W8
     with pytest.raises(NotAnAGroup):
         quotient(rank2(6), 3)
 
@@ -264,9 +271,9 @@ def test_section_classes_match_the_validated_sections():
 
 
 def test_restrict_section_examples():
-    assert restrict_section(group_ring(12), Section(6, 2)).key() == group_ring(3).key()
-    assert restrict_section(W8, Section(4, 2)).key() == group_ring(2).key()
-    assert restrict_section(W8, Section(8, 1)).key() == W8.key()
+    assert restrict_section(group_ring(12), Section(6, 2)) == group_ring(3)
+    assert restrict_section(W8, Section(4, 2)) == group_ring(2)
+    assert restrict_section(W8, Section(8, 1)) == W8
 
 
 def test_restrict_quotient_functoriality():
@@ -277,13 +284,13 @@ def test_restrict_quotient_functoriality():
             B = restrict(A, d2)
             for d1 in a_groups(B):
                 if d1 in ags:
-                    assert restrict(B, d1).key() == restrict(A, d1).key()
+                    assert restrict(B, d1) == restrict(A, d1)
         for l1 in ags:
             B = quotient(A, l1)
             for l2 in ags:
                 if l2 % l1 == 0 and (l2 // l1) in a_groups(B):
                     assert (
-                        quotient(B, l2 // l1).key() == quotient(A, l2).key()
+                        quotient(B, l2 // l1) == quotient(A, l2)
                     )
 
 
@@ -331,7 +338,7 @@ def test_highest_classes_share_one_radical():
                  if classify(n).nonschur_split]
     assert len(witnesses) == 14
     for A in [A for n in range(1, 37) for A in enumerate_srings(n).rings] + witnesses:
-        assert len({radical_of_class(A, i) for i in highest_classes(A)}) == 1, A.key()
+        assert len({radical_of_class(A, i) for i in highest_classes(A)}) == 1, A.class_of
 
 
 def test_is_primitive_examples():
@@ -362,13 +369,13 @@ def _quasidense_by_section_rings(A):
 def test_is_quasidense_matches_section_rings():
     rings = [A for n in range(1, 31) for A in enumerate_srings(n).rings]
     for A in rings + [witness(8, 9), witness(8, 15)]:
-        assert is_quasidense(A) == _quasidense_by_section_rings(A), A.key()
+        assert is_quasidense(A) == _quasidense_by_section_rings(A), A.class_of
     # the A_S-groups of S = U/L are H/L for the A-groups L <= H <= U
     for A in (A for A in rings if A.n <= 24):
         ags = a_groups(A)
         for s in sections(A):
             interval = [h // s.l for h in ags if h % s.l == 0 and s.u % h == 0]
-            assert a_groups(restrict_section(A, s)) == interval, (A.key(), s)
+            assert a_groups(restrict_section(A, s)) == interval, (A.class_of, s)
 
 
 def test_is_dense_examples():
@@ -401,7 +408,7 @@ def test_wreath_decompositions_match_the_radicals(catalogs):
     rings = [A for n in range(1, 49) for A in catalogs[n].rings]
     assert len(rings) == 3061
     for A in rings:
-        assert wreath_decompositions(A) == _wreath_decompositions_by_radicals(A), A.key()
+        assert wreath_decompositions(A) == _wreath_decompositions_by_radicals(A), A.class_of
 
 
 def test_multiplier_stabilizer_and_is_cyclotomic():
@@ -429,6 +436,9 @@ def test_tensor_split_examples():
         tensor_split(group_ring(4), 2)
     with pytest.raises(NotComplementary):
         tensor_split(rank2(6), 2)
+    for d in (0, -2, 4):
+        with pytest.raises(NotComplementary, match=f"{d} does not divide 6"):
+            tensor_split(group_ring(6), d)
 
 
 def test_negation_is_an_involution_on_classes():
@@ -445,7 +455,7 @@ def test_negation_is_an_involution_on_classes():
 
 def test_revalidation_is_identity():
     for A in (W4, W8, group_ring(9), cyclotomic(k_m(15))):
-        assert validate(A.n, [list(c) for c in A.classes]).key() == A.key()
+        assert validate(A.n, [list(c) for c in A.classes]) == A
 
 
 def test_any_ring_over_prime_order_is_primitive_quasidense():

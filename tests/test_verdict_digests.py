@@ -1,7 +1,7 @@
 """Verdict gate on the automorphism search.
 
 `data/verdict_digests.json` holds, for every n <= 36, the ring count and
-a sha256 of the sorted ``[key, aut_order, stabilizer_orbits]`` lines over
+a sha256 of the sorted ``[[n, classes], aut_order, stabilizer_orbits]`` lines over
 `enumerate_srings(n)`.  `data/census_72_digest.json` holds the same entry
 over the rings of `census(72)`, which
 `test_catalog.py::test_census_72_contains_nonschurian` checks.
@@ -25,6 +25,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from schurring.catalog import census, enumerate_srings
+from schurring.perm import orbit_partition
 from schurring.schurity import _search, is_schurian
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -57,7 +58,7 @@ def verdicts_entry(pairs) -> dict:
 def bare_search(A, budget: int):
     """The search's verdict fields, without the plain wreath assembly."""
     data = _search(A, budget)
-    return SimpleNamespace(aut_order=data.order, stabilizer_orbits=data.stabilizer_orbits)
+    return SimpleNamespace(aut_order=data.order, stabilizer_orbits=tuple(orbit_partition(data.orbit)))
 
 
 def digest_entry(rings, budget: int, decide=is_schurian) -> dict:
