@@ -24,6 +24,7 @@ from .construct import (
     MultiplierGroup,
     cyclotomic,
     gen_wreath,
+    is_cyclotomic,
     k_m,
     rank2,
     tensor,
@@ -41,13 +42,11 @@ from .schurity import (
     minimal_nonschurian_check,
 )
 from .sring import (
-    RadicalReport,
     Section,
     SRing,
     a_groups,
     group_ring,
     highest_classes,
-    is_cyclotomic,
     is_dense,
     is_primitive,
     is_quasidense,

@@ -212,12 +212,12 @@ def _inverse_closed_partitions(n: int):
     yield from rec(1)
 
 
-def brute_force_enumerate(n: int, cap: int = BRUTE_CAP) -> Catalog:
+def brute_force_enumerate(n: int) -> Catalog:
     """Independent oracle: filter all candidate partitions by the validator."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds brute-force cap {cap}")
+    if n > BRUTE_CAP:
+        raise CapExceeded(f"n={n} exceeds brute-force cap {BRUTE_CAP}")
     rings: set[SRing] = set()
     for part in _inverse_closed_partitions(n):
         try:

@@ -17,7 +17,7 @@ import sys
 from . import catalog as catalog_mod
 from . import sring as sring_mod
 from .arith import classify
-from .construct import witness_detailed
+from .construct import is_cyclotomic, witness_detailed
 from .errors import CapExceeded, SchurRingError, SearchBudgetExceeded
 from .schurity import check_search_degree, is_schurian
 from .sring import SRing, validate
@@ -100,8 +100,11 @@ def cmd_classify(args) -> int:
 
 def cmd_witness(args) -> int:
     try:
+        # bound the n1*n2 points before they are built; bad parts get their own message
+        if args.n1 > 0 and args.n2 > 0:
+            check_search_degree(args.n1 * args.n2)
         w = witness_detailed(args.n1, args.n2)
-    except ValueError as e:
+    except (CapExceeded, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     report = {
@@ -152,12 +155,12 @@ def cmd_analyze(args) -> int:
     A, code = _load_ring(args.file)
     if A is None:
         return code
-    K = sring_mod.is_cyclotomic(A)
+    K = is_cyclotomic(A)
     report = {
         "n": A.n,
         "rank": A.rank,
         "a_groups": sring_mod.a_groups(A),
-        "radical": sring_mod.radical(A).ring_radical,
+        "radical": sring_mod.radical(A),
         "dense": sring_mod.is_dense(A),
         "quasidense": sring_mod.is_quasidense(A),
         "primitive": sring_mod.is_primitive(A),

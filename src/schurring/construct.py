@@ -1,5 +1,6 @@
-"""Builders: cyclotomic rings, tensor products, generalized wreath
-products, and the explicit non-schurian witness over Z_{n1*n2}.
+"""Builders: cyclotomic rings (and `is_cyclotomic`, which reads K* off the
+class of 1), tensor products, generalized wreath products, and the
+explicit non-schurian witness over Z_{n1*n2}.
 
 Each builder's output is an S-ring by theorem: the orbit partition of a
 group of multipliers (Schur), the rank-2 ring, the tensor product of
@@ -73,6 +74,27 @@ def cyclotomic(K: MultiplierGroup) -> SRing:
         if math.gcd(g, n) != 1:
             raise ValueError(f"{g} is not a unit mod {n}")
     return _from_labels(n, merge_orbits(np.arange(n), _multipliers(n, K.generators)).tolist())
+
+
+def is_cyclotomic(A: SRing) -> Optional[MultiplierGroup]:
+    """The full multiplier group K* when the classes are its orbits, else None.
+
+    If A = cyc(K*), the class X of 1 is its orbit K* * 1 = K*.  So A is
+    cyclotomic iff every element of X is a unit that maps every class onto
+    itself (then X = K*, as K* * 1 lies in X), and every class Y is the
+    X-orbit of its least point: |X * min Y| = |Y|.  O(n) per element of X.
+    """
+    n = A.n
+    c = np.array(A.class_of)
+    # the points 1..n (n is 0) in the class of 1; for n = 1 that is (1,)
+    X = (np.flatnonzero(c[np.arange(1, n + 1) % n] == c[1 % n]) + 1).tolist()
+    if (
+        all(math.gcd(x, n) == 1 for x in X)
+        and all(len({x * Y[0] % n for x in X}) == len(Y) for Y in A.classes)
+        and all((c[np.arange(n) * x % n] == c).all() for x in X)
+    ):
+        return MultiplierGroup(n, tuple(X), tuple(X))
+    return None
 
 
 def rank2(n: int) -> SRing:

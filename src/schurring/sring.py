@@ -1,4 +1,5 @@
-"""The S-ring data model over Z_n.
+"""The S-ring data model over Z_n, and the structure read off its labels:
+A-groups, sections, radicals, density and wreath decompositions.
 
 An S-ring is a partition of {0, ..., n-1} into basic sets ("classes"):
 class 0 is exactly {0}, the partition is closed under negation, and for
@@ -87,12 +88,6 @@ class Section:
     @property
     def order(self) -> int:
         return self.u // self.l
-
-
-@dataclass(frozen=True)
-class RadicalReport:
-    per_class_radical: tuple[int, ...]
-    ring_radical: int
 
 
 def validate(n: int, classes) -> SRing:
@@ -231,10 +226,11 @@ def sections(A: SRing, proper_only: bool = False) -> list[Section]:
 
 
 def radical_of_class(A: SRing, i: int) -> int:
-    """|{g : g + X = X}| for class X = classes[i]; a divisor of n."""
-    n, X = A.n, set(A.classes[i])
-    x0 = A.classes[i][0]
-    return sum(1 for g in range(n) if (x0 + g) % n in X and all((x + g) % n in X for x in X))
+    """|{g : g + X = X}| for class X = classes[i]: these g form a subgroup,
+    so this is the largest d | n with X + n/d = X.  O(tau(n) |X|)."""
+    n, c = A.n, A.class_of
+    X = A.classes[i]
+    return max(d for d in divisors(n) if all(c[(x + n // d) % n] == i for x in X))
 
 
 def highest_classes(A: SRing) -> list[int]:
@@ -249,15 +245,11 @@ def highest_classes(A: SRing) -> list[int]:
     return out
 
 
-def radical(A: SRing) -> RadicalReport:
-    """Radical orders per class plus the ring radical.
-
-    The ring radical is the radical of a highest class; over a cyclic
+def radical(A: SRing) -> int:
+    """The ring radical: the radical of a highest class.  Over a cyclic
     group all highest classes of an S-ring share one radical
-    (Evdokimov-Ponomarenko), so the first one is taken.
-    """
-    per_class = tuple(radical_of_class(A, i) for i in range(A.rank))
-    return RadicalReport(per_class, per_class[highest_classes(A)[0]])
+    (Evdokimov-Ponomarenko), so the first one is taken."""
+    return radical_of_class(A, highest_classes(A)[0])
 
 
 def is_primitive(A: SRing) -> bool:
@@ -306,26 +298,6 @@ def wreath_decompositions(A: SRing) -> list[Section]:
     """
     ags = a_groups(A)
     return [Section(u, l) for u in ags[:-1] for l in ags[1:] if u % l == 0 and _is_wreath(A, u, l)]
-
-
-def multiplier_stabilizer(A: SRing) -> list[int]:
-    """Units m of Z_n with m*X = X for every class X (a group)."""
-    n, c = A.n, A.class_of
-    return [
-        m
-        for m in range(1, n + 1 if n == 1 else n)
-        if math.gcd(m, n) == 1
-        and all(c[m * x % n] == c[x] for x in range(n))
-    ]
-
-
-def is_cyclotomic(A: SRing):
-    """The full multiplier group K* when the classes are its orbits, else None."""
-    from .construct import MultiplierGroup, cyclotomic  # local import avoids a cycle
-
-    kstar = tuple(multiplier_stabilizer(A))
-    K = MultiplierGroup(A.n, kstar, kstar)
-    return K if cyclotomic(K) == A else None
 
 
 def tensor_split(A: SRing, d: int) -> bool:

@@ -17,6 +17,7 @@ from schurring.construct import (
     MultiplierGroup,
     cyclotomic,
     gen_wreath,
+    is_cyclotomic,
     k_m,
     units,
     witness,
@@ -27,7 +28,6 @@ from schurring.perm import PermGroup, closure, perm_gen_wreath, translations
 from schurring.schurity import automorphism_group, is_schurian
 from schurring.sring import (
     a_groups,
-    is_cyclotomic,
     is_dense,
     is_quasidense,
     quotient,
@@ -191,7 +191,7 @@ def test_criterion_09_structural_property_suites():
         odd_prime_power = n > 1 and n % 2 and len(factorize(n).factors) == 1
         for A in enumerate_srings(n).rings:
             stats["entries"] += 1
-            rad = radical(A).ring_radical
+            rad = radical(A)
             qd = is_quasidense(A)
             if qd and rad == 1:
                 # quasidense with trivial radical: cyclotomic, hence dense
@@ -209,13 +209,13 @@ def test_criterion_09_structural_property_suites():
                 for s in sections(A):
                     if any(s.order % p for p in odd_primes):
                         continue
-                    r = radical(restrict_section(A, s)).ring_radical
+                    r = radical(restrict_section(A, s))
                     two_part = 2 ** ((s.order & -s.order).bit_length() - 1)
                     ok = ok and r <= 2 and (r == 1 or two_part == 4)
             if odd_prime_power and rad == 1:
                 # trivial radical is inherited by all sections of Z_{p^k}
                 ok = ok and all(
-                    radical(restrict_section(A, s)).ring_radical == 1
+                    radical(restrict_section(A, s)) == 1
                     for s in sections(A)
                 )
             for s in wreath_decompositions(A):

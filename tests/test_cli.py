@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -68,10 +69,16 @@ def test_witness_command(capsys, tmp_path):
     assert ring_from_document(on_disk) == witness(8, 9)
     code, _, err = run(capsys, "witness", "6", "5")
     assert code == EXIT_INPUT and "omega_star" in err
-    for n1, n2 in (("-8", "9"), ("8", "-9"), ("0", "9")):
+    for n1, n2 in (("-8", "9"), ("8", "-9"), ("0", "9"), ("-8", "-90")):
         code, out, err = run(capsys, "witness", n1, n2)
         assert code == EXIT_INPUT and out == ""
         assert err == f"error: witness parts must be positive, got {n1} and {n2}\n"
+    # the witness is bounded by the search degree cap before it is built
+    for n1, n2 in (("8", "75"), ("8", "9000000063")):
+        code, out, err = run(capsys, "witness", n1, n2)
+        assert code == EXIT_INPUT and out == ""
+        n = int(n1) * int(n2)
+        assert err == f"error: n={n} exceeds the search degree cap {MAX_SEARCH_DEGREE}\n"
 
     out120 = tmp_path / "w120.json"
     code, _, _ = run_json(capsys, "witness", "8", "15", "-o", str(out120), "--json")
@@ -179,6 +186,22 @@ def test_analyze_command(capsys, tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("not json")
     assert run(capsys, "analyze", str(garbled))[0] == EXIT_INPUT
+
+
+def test_analyze_allocation_is_bounded(capsys, tmp_path):
+    # the rank-2 document that bounds `validate`; every report entry, the
+    # cyclotomic check among them, stays within the same 64 MiB
+    path = write_doc(tmp_path / "r4096.json", rank2(4096))
+    tracemalloc.start()
+    try:
+        code = main(["analyze", path, "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["radical"] == 1 and doc["cyclotomic"] is None and doc["primitive"]
+    assert peak < 64 * 2**20
 
 
 def test_schurity_command(capsys, tmp_path):

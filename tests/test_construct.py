@@ -11,6 +11,7 @@ from schurring.construct import (
     MultiplierGroup,
     cyclotomic,
     gen_wreath,
+    is_cyclotomic,
     k_m,
     rank2,
     tensor,
@@ -22,7 +23,6 @@ from schurring.errors import IncompatibleSection, NotAnAGroup, NotCoprime
 from schurring.sring import (
     Section,
     group_ring,
-    is_cyclotomic,
     quotient,
     restrict,
     validate,

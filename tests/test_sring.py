@@ -1,5 +1,6 @@
 """The S-ring data model: validation, sections, radicals, structure flags."""
 
+import math
 import random
 import tracemalloc
 
@@ -7,7 +8,16 @@ import pytest
 
 from schurring.arith import classify, is_prime
 from schurring.catalog import _inverse_closed_partitions, enumerate_srings
-from schurring.construct import cyclotomic, k_m, rank2, tensor, units, witness, MultiplierGroup
+from schurring.construct import (
+    cyclotomic,
+    is_cyclotomic,
+    k_m,
+    rank2,
+    tensor,
+    units,
+    witness,
+    MultiplierGroup,
+)
 from schurring.errors import (
     NotAnAGroup,
     NotAPartition,
@@ -23,11 +33,9 @@ from schurring.sring import (
     a_groups,
     group_ring,
     highest_classes,
-    is_cyclotomic,
     is_dense,
     is_primitive,
     is_quasidense,
-    multiplier_stabilizer,
     quotient,
     radical,
     radical_of_class,
@@ -308,8 +316,9 @@ def test_radical_of_class_examples():
     assert radical_of_class(rank2(7), 1) == 1
 
 
-def test_radical_of_class_is_the_exact_fixed_set():
-    for A in (W4, W8, rank2(6), cyclotomic(k_m(12))):
+def test_radical_of_class_is_the_exact_fixed_set(catalogs):
+    rings = [A for n in range(1, 37) for A in catalogs[n].rings]
+    for A in [W4, W8, rank2(6), cyclotomic(k_m(12))] + rings:
         n = A.n
         for i, X in enumerate(A.classes):
             s = set(X)
@@ -328,14 +337,19 @@ def test_highest_classes_examples():
 
 
 def test_radical_examples():
-    assert radical(group_ring(8)).ring_radical == 1
-    assert radical(W4).ring_radical == 2
-    assert radical(rank2(6)).ring_radical == 1
+    assert radical(group_ring(8)) == 1
+    assert radical(W4) == 2
+    assert radical(rank2(6)) == 1
+
+
+def _witness_rings():
+    """The witness rings of the 14 non-Schur orders 72 <= n <= 300."""
+    return [witness(*classify(n).nonschur_split) for n in range(72, 301)
+            if classify(n).nonschur_split]
 
 
 def test_highest_classes_share_one_radical():
-    witnesses = [witness(*classify(n).nonschur_split) for n in range(72, 301)
-                 if classify(n).nonschur_split]
+    witnesses = _witness_rings()
     assert len(witnesses) == 14
     for A in [A for n in range(1, 37) for A in enumerate_srings(n).rings] + witnesses:
         assert len({radical_of_class(A, i) for i in highest_classes(A)}) == 1, A.class_of
@@ -411,8 +425,27 @@ def test_wreath_decompositions_match_the_radicals(catalogs):
         assert wreath_decompositions(A) == _wreath_decompositions_by_radicals(A), A.class_of
 
 
+def _multiplier_stabilizer(A):
+    """Units m of Z_n with m*X = X for every class X, by a scan of every
+    unit over every point."""
+    n, c = A.n, A.class_of
+    return [
+        m
+        for m in range(1, n + 1 if n == 1 else n)
+        if math.gcd(m, n) == 1 and all(c[m * x % n] == c[x] for x in range(n))
+    ]
+
+
+def _cyclotomic_by_stabilizer(A):
+    """Cyclotomy from its definition, the reference for `is_cyclotomic`:
+    the orbit ring of the full multiplier stabilizer K*, if it is A."""
+    kstar = tuple(_multiplier_stabilizer(A))
+    K = MultiplierGroup(A.n, kstar, kstar)
+    return K if cyclotomic(K) == A else None
+
+
 def test_multiplier_stabilizer_and_is_cyclotomic():
-    assert multiplier_stabilizer(group_ring(6)) == [1]
+    assert is_cyclotomic(group_ring(1)).elements == (1,)
     assert is_cyclotomic(group_ring(6)).elements == (1,)
     K = is_cyclotomic(W4)
     assert K is not None and set(K.elements) == {1, 3}
@@ -420,6 +453,17 @@ def test_multiplier_stabilizer_and_is_cyclotomic():
     # rank2 over a prime is the full-unit-group cyclotomic ring
     K5 = is_cyclotomic(rank2(5))
     assert K5 is not None and set(K5.elements) == set(units(5))
+
+
+def test_is_cyclotomic_matches_the_multiplier_stabilizer(catalogs):
+    rings = [A for n in range(1, 49) for A in catalogs[n].rings]
+    assert len(rings) == 3061
+    cyclotomic_count = 0
+    for A in rings + _witness_rings():
+        K = is_cyclotomic(A)
+        assert K == _cyclotomic_by_stabilizer(A), A.class_of
+        cyclotomic_count += K is not None
+    assert cyclotomic_count == 366  # all catalog rings; no witness is cyclotomic
 
 
 def test_tensor_split_examples():
