@@ -100,7 +100,7 @@ def cmd_classify(args) -> int:
 
 def cmd_witness(args) -> int:
     try:
-        # bound the n1*n2 points before they are built; bad parts get their own message
+        # bound the n1*n2 points before building them; non-positive parts keep their message
         if args.n1 > 0 and args.n2 > 0:
             check_search_degree(args.n1 * args.n2)
         w = witness_detailed(args.n1, args.n2)
