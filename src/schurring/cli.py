@@ -11,6 +11,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,7 +229,10 @@ def _budget_arg(text: str) -> int:
     return budget
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing fills a
+    new namespace on every call, so calls share no state."""
     p = argparse.ArgumentParser(
         prog="schurring",
         description="Schur rings over cyclic groups: classify, construct, decide.",

@@ -47,9 +47,13 @@ class PermGroup:
     a deterministic incremental Schreier-Sims on numpy arrays (Seress,
     *Permutation Group Algorithms*, 2003, ch. 4).  Each level keeps its
     base point, its basic orbit, and the coset representative of every
-    orbit point and its inverse as rows of a small-int array.  A level's
-    Schreier generators are sifted one strong generator at a time, as
-    one |orbit| x n array with one gather per deeper level.
+    orbit point and its inverse as rows of a small-int array.  A new
+    strong generator extends an orbit in rounds that map the points just
+    found by the generators and by every representative so far, so a
+    long cycle takes logarithmically many rounds, not one per point.  A
+    level's Schreier generators are sifted one strong generator at a
+    time, as one |orbit| x n array with one flat gather per deeper level
+    for the rows whose representative there is not the identity.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm]):
@@ -92,12 +96,15 @@ class PermGroup:
 
 class _Level:
     """One level of a stabilizer chain: the base point, its orbit under
-    the level's strong generators, and per orbit point x (row pos[x]) a
-    representative u with u[point] = x and its inverse."""
+    the level's strong generators (each stored with its inverse), and per
+    orbit point x (row pos[x]) a representative u with u[point] = x and
+    its inverse.  Row 0 is the identity, the representative of the base
+    point."""
 
     def __init__(self, point: int, n: int, dtype):
         self.point = point
         self.gens: list[np.ndarray] = []
+        self.ginv: list[np.ndarray] = []
         # per generator: the orbit prefix whose Schreier generators sifted
         self.checked: list[int] = []
         self.orbit = np.array([point])
@@ -107,29 +114,37 @@ class _Level:
         self.uinv = self.u
 
     def add_gen(self, s: np.ndarray):
-        """Add strong generator s and extend the orbit: s on every old
-        point first, then every generator on the points just found."""
+        """Add strong generator s and extend the orbit in rounds: s on
+        every old point first, then every generator and every
+        representative so far on the points just found.  A point r(x)
+        found from x by map r gets representative "u_x, then r" and
+        inverse "r^-1, then u_x^-1"; since the representatives found in
+        one round map the next round's points, a cycle of length L is
+        covered in about log2 L rounds."""
+        n = len(s)
+        sinv = np.empty_like(s)
+        sinv[s] = np.arange(n)
         self.gens.append(s)
+        self.ginv.append(sinv)
         self.checked.append(0)
-        start, gens = 0, [s]
-        u, uinv = [self.u], [self.uinv]  # u[-1]: the rows from `start` on
-        while start < len(self.orbit):
-            rows = np.arange(start, len(self.orbit))
+        maps, maps_inv, start = s[None], sinv[None], 0
+        while True:
+            img = maps[:, self.orbit[start:]]
+            fresh = self.pos[img] < 0
+            pts, first = np.unique(img[fresh], return_index=True)
+            if not len(pts):
+                return
+            r, x = np.nonzero(fresh)
+            r, x = r[first], x[first] + start
+            new_u = maps.take(r[:, None] * n + self.u[x])  # u_x, then r
+            new_uinv = self.uinv.take(x[:, None] * n + maps_inv[r])  # r^-1, then u_x^-1
             start = len(self.orbit)
-            new_u, new_uinv = [], []
-            for t in gens:
-                img = t[self.orbit[rows]]
-                fresh = self.pos[img] < 0
-                img, first = np.unique(img[fresh], return_index=True)
-                src = rows[fresh][first] - rows[0]
-                self.pos[img] = np.arange(len(self.orbit), len(self.orbit) + len(img))
-                self.orbit = np.concatenate([self.orbit, img])
-                new_u.append(t[u[-1][src]])  # u_x, then t
-                new_uinv.append(uinv[-1][src][:, np.argsort(t)])  # t^-1, then u_x^-1
-            u.append(np.concatenate(new_u))
-            uinv.append(np.concatenate(new_uinv))
-            gens = self.gens
-        self.u, self.uinv = np.concatenate(u), np.concatenate(uinv)
+            self.pos[pts] = np.arange(start, start + len(pts))
+            self.orbit = np.concatenate([self.orbit, pts])
+            self.u = np.concatenate([self.u, new_u])
+            self.uinv = np.concatenate([self.uinv, new_uinv])
+            maps = np.concatenate([np.array(self.gens), self.u[1:]])
+            maps_inv = np.concatenate([np.array(self.ginv), self.uinv[1:]])
 
 
 def _schreier_sims(levels: list[_Level], gens: Iterable, nbase: int,
@@ -178,8 +193,8 @@ def _schreier_residue(levels: list[_Level], i: int, nbase: int,
         done = lvl.checked[k]
         if done == len(lvl.orbit):
             continue
-        dest = lvl.pos[s[lvl.orbit[done:]]]
-        rest, hit = _sift(levels, i + 1, lvl.uinv[dest[:, None], s[lvl.u[done:]]], nbase)
+        batch = _apply_uinv(lvl.uinv, lvl.pos[s[lvl.orbit[done:]]], s[lvl.u[done:]])
+        rest, hit = _sift(levels, i + 1, batch, nbase)
         kernel.extend(_moving(rest, nbase))
         lvl.checked[k] = len(lvl.orbit) if hit is None else done + hit[0] + 1
         if hit is not None:
@@ -193,6 +208,22 @@ def _moving(rest: np.ndarray, nbase: int) -> np.ndarray:
     return rest[(rest[:, nbase:] != np.arange(nbase, rest.shape[1])).any(axis=1)]
 
 
+def _apply_uinv(uinv: np.ndarray, rows: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Each row b of `batch` followed by uinv[row], by one flat gather;
+    rows whose representative is row 0, the identity, are not gathered.
+    `batch` itself is never written: the result is a new array, or
+    `batch` when every row's representative is the identity."""
+    hit = rows.nonzero()[0]
+    if not len(hit):
+        return batch
+    n = batch.shape[1]
+    if len(hit) == len(rows):
+        return uinv.take(rows[:, None] * n + batch)
+    out = batch.copy()
+    out[hit] = uinv.take(rows[hit, None] * n + batch[hit])
+    return out
+
+
 def _sift(levels: list[_Level], start: int, batch: np.ndarray, nbase: int):
     """Sift the rows of `batch` through levels[start:].
 
@@ -202,7 +233,7 @@ def _sift(levels: list[_Level], start: int, batch: np.ndarray, nbase: int):
     level j it dropped out at (len(levels) if it sifted through all of
     them).  `rest` holds the residues of the rows before it.  Rows after
     a dropped row are cut from the batch, since only the first failure is
-    wanted.
+    wanted.  The caller's `batch` is left unchanged.
     """
     hit = None
     for j in range(start, len(levels)):
@@ -213,7 +244,7 @@ def _sift(levels: list[_Level], start: int, batch: np.ndarray, nbase: int):
             r = int(out.argmax())
             hit = (r, batch[r].copy(), j)
             batch, rows = batch[:r], rows[:r]
-        batch = lvl.uinv[rows[:, None], batch]
+        batch = _apply_uinv(lvl.uinv, rows, batch)
     moved = (batch[:, :nbase] != np.arange(nbase)).any(axis=1)
     if moved.any():
         r = int(moved.argmax())

@@ -12,6 +12,7 @@ from schurring.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     main,
     ring_from_document,
     ring_to_document,
@@ -286,3 +287,15 @@ def test_enumerate_command(capsys):
 def test_unknown_command_is_input_error(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_INPUT
     assert run(capsys, "--help")[0] == EXIT_OK
+
+
+def test_successive_calls_share_no_parsed_state(capsys, tmp_path):
+    # the parser is built once per process; each call parses afresh
+    assert build_parser() is build_parser()
+    w_file = write_doc(tmp_path / "w72.json", witness(8, 9))
+    code, out, err = run(capsys, "schurity", w_file, "--budget", "5", "--json")
+    assert code == EXIT_BUDGET and out == "" and "budget" in err
+    # neither the budget nor --json carries over to the next call
+    code, out, err = run(capsys, "schurity", w_file)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[:3] == ["n: 72", "schurian: False", "aut_order: 2592"]

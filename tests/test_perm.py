@@ -23,6 +23,8 @@ from schurring.perm import (
     mult,
     orbit_partition,
     orbits_of_perms,
+    _schreier_sims,
+    _sift,
     perm_gen_wreath,
     translations,
 )
@@ -225,6 +227,85 @@ def test_order_and_membership_of_mathieu_groups():
         assert from_cycles(n, (1, 2)) not in G
         assert from_cycles(n, (5, 9)) not in G
     assert M12_GENS[2] not in PermGroup(12, M12_GENS[:2])
+
+
+def chain_of(n, gens):
+    levels = []
+    _schreier_sims(levels, gens, n, np.min_scalar_type(max(n - 1, 0)))
+    return levels
+
+
+def check_chain(levels, n):
+    """The invariants of every level: representatives map the base point
+    onto their orbit point, their inverses invert them, `pos` numbers the
+    orbit, the orbit is closed under the level's generators, each stored
+    with its inverse, and those generators fix every earlier base point."""
+    ident = np.arange(n)
+    for i, lvl in enumerate(levels):
+        size = len(lvl.orbit)
+        assert lvl.u.shape == lvl.uinv.shape == (size, n)
+        assert (lvl.u[:, lvl.point] == lvl.orbit).all()
+        assert (np.sort(lvl.u, axis=1) == ident).all()
+        assert (np.take_along_axis(lvl.uinv, lvl.u.astype(np.intp), axis=1) == ident).all()
+        assert (lvl.u[0] == ident).all()
+        assert (lvl.pos[lvl.orbit] == np.arange(size)).all()
+        assert (lvl.pos >= 0).sum() == size
+        assert len(lvl.gens) == len(lvl.ginv) == len(lvl.checked) > 0
+        for g, ginv in zip(lvl.gens, lvl.ginv):
+            assert (ginv[g] == ident).all()
+            assert (lvl.pos[g[lvl.orbit]] >= 0).all()
+            assert all(g[above.point] == above.point for above in levels[:i])
+
+
+def long_cycles(n, lengths, rng):
+    """One permutation of n points with disjoint cycles of the given lengths
+    on randomly chosen points."""
+    points = rng.sample(range(n), sum(lengths))
+    p = list(range(n))
+    for length in lengths:
+        cyc, points = points[:length], points[length:]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            p[a] = b
+    return tuple(p)
+
+
+def test_chain_invariants_on_random_groups_and_long_cycles():
+    rng = random.Random(13)
+    cases = [(n, [random_perm(rng, n) for _ in range(rng.randint(1, 4))])
+             for n in (rng.randint(2, 12) for _ in range(60))]
+    for n in (2, 3, 64, 97, 255, 300):
+        cases.append((n, [long_cycles(n, [n], rng)]))
+    cases += [(n, dihedral(n).generators) for n in (97, 300)]
+    for lengths in ((4, 9, 25), (7, 8, 9, 11), (3, 4, 5, 7, 11, 13, 16, 17, 19, 23, 29, 31, 37, 41)):
+        n = sum(lengths) + rng.randint(0, 20)
+        cases.append((n, [long_cycles(n, lengths, rng)]))
+    for n, gens in cases:
+        levels = chain_of(n, gens)
+        check_chain(levels, n)
+        order = math.prod(len(lvl.orbit) for lvl in levels)
+        if len(gens) == 1:
+            # a cyclic group: the order is the lcm of the cycle lengths
+            lengths = map(len, orbits_of_perms(n, gens))
+            assert order == math.lcm(*lengths)
+        elif order <= 5000:
+            assert order == len(closure(n, gens))
+
+
+def test_sift_leaves_its_batch_unchanged():
+    rng = random.Random(17)
+    for n in (6, 12, 40):
+        gens = [random_perm(rng, n) for _ in range(3)] + [long_cycles(n, [n], rng)]
+        levels = chain_of(n, gens)
+        members = [random_word(rng, gens) for _ in range(20)]
+        strangers = [tuple(rng.sample(range(n), n)) for _ in range(20)]
+        for rows in (members, strangers, members + strangers):
+            for start in range(len(levels)):
+                batch = np.array(rows, dtype=levels[0].u.dtype)
+                before = batch.copy()
+                _sift(levels, start, batch, n)
+                assert (batch == before).all()
+        rest, hit = _sift(levels, 0, np.array(members, dtype=levels[0].u.dtype), n)
+        assert hit is None and (rest == np.arange(n)).all()
 
 
 def test_is_normal_subgroup_examples():
