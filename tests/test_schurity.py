@@ -222,7 +222,7 @@ def test_plain_stalls_past_100_are_decided_from_their_factors():
         for g in data.stabilizer_gens:
             assert g[0] == 0 and is_color_automorphism(A, g)
         assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == tuple(orbit_partition(data.orbit))
-        # Schreier-Sims on Sym(11) wr Sym(13) takes most of a minute
+        # Schreier-Sims on Sym(11) wr Sym(13) still takes about 20 s
         if A.rank > 3:
             assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order
 
