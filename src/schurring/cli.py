@@ -157,16 +157,17 @@ def cmd_analyze(args) -> int:
     if A is None:
         return code
     K = is_cyclotomic(A)
+    ags = sring_mod.a_groups(A)
     report = {
         "n": A.n,
         "rank": A.rank,
-        "a_groups": sring_mod.a_groups(A),
+        "a_groups": ags,
         "radical": sring_mod.radical(A),
-        "dense": sring_mod.is_dense(A),
-        "quasidense": sring_mod.is_quasidense(A),
-        "primitive": sring_mod.is_primitive(A),
+        "dense": sring_mod._is_dense(A, ags),
+        "quasidense": sring_mod._is_quasidense(ags),
+        "primitive": sring_mod._is_primitive(A, ags),
         "cyclotomic": list(K.elements) if K else None,
-        "wreath_decompositions": [[s.u, s.l] for s in sring_mod.wreath_decompositions(A)],
+        "wreath_decompositions": [[s.u, s.l] for s in sring_mod._wreath_decompositions(A, ags)],
     }
     _emit(report, args.json)
     return EXIT_OK

@@ -255,11 +255,19 @@ def _sift(levels: list[_Level], start: int, batch: np.ndarray, nbase: int):
 def _add_residue(levels: list[_Level], hit, i: int) -> int:
     """Add the residue h of a `_sift` hit to levels i+1..j, where j is
     the level it dropped out at (a new level, based at the first point h
-    moves, if j is past the last); return j."""
+    moves, if j is past the last); return j.
+
+    A residue that sifted through every level fixes every base point, so
+    a new level's base point is a new one and the chain has at most one
+    level per point.  A base point met again means the chain is corrupt,
+    and RuntimeError is raised before it can grow without bound."""
     _, h, j = hit
     if j == len(levels):
         n = len(h)
-        levels.append(_Level(int(np.flatnonzero(h != np.arange(n))[0]), n, h.dtype))
+        point = int(np.flatnonzero(h != np.arange(n))[0])
+        if any(lvl.point == point for lvl in levels):
+            raise RuntimeError(f"stabilizer chain corrupt: point {point} is already a base point")
+        levels.append(_Level(point, n, h.dtype))
     for lvl in levels[i + 1:j + 1]:
         lvl.add_gen(h)
     return j

@@ -44,16 +44,33 @@ succeeds, so such a level costs one frame.  The budget counts nodes:
 - one node per candidate image the DFS tries when it branches;
 - one node per point a read-off map moves, whether it is accepted or not.
 
-Plain wreath products are not searched.  A is plain over an A-group U of
-order u when every class outside U is a union of U-cosets
-(`sring._is_wreath` with l = u).  Then "x - y in U" is a union of colors,
-so every color automorphism permutes the U-cosets, and the color between
-two cosets depends only on the pair of cosets: aut(A) is exactly
-aut(A_U) wr aut(A_{G/U}).  Before it searches, `_aut_data` takes the least
-proper A-group order 1 < u < n over which A is plain, if there is one,
-decides A_U = `restrict(A, u)` and A_{G/U} = `quotient(A, u)` by
-`_aut_data` in turn, and assembles, with m = n/u, so that U is the
-multiples of m and its cosets are the residues mod m:
+Leung and Man show that every circulant S-ring is rank 2, cyclotomic,
+a tensor product or a generalized wreath product.  Three kinds of ring
+are decided without a search of their own.  `_aut_data` checks the
+degree and the budget, then takes the first case that applies:
+
+1. rank 2: aut(A) is Sym(Z_n), so its 0-stabilizer is Sym({1..n-1}),
+   of order (n-1)!, with one non-zero orbit, generated by the
+   transposition (1 2) and the cycle (1 2 ... n-1) (none for n = 2, the
+   transposition alone for n = 3);
+2. plain over the least A-group order that qualifies, as below;
+3. a coprime tensor product over the least A-group order that
+   qualifies, as below;
+4. anything else (a cyclotomic ring or a generalized wreath product)
+   goes to the search.
+
+A rank-2 ring has no proper A-group, so putting it first moves no
+other ring off its path.
+
+A is plain over an A-group U of order u when every class outside U is
+a union of U-cosets (`sring._is_wreath` with l = u).  Then "x - y in U"
+is a union of colors, so every color automorphism permutes the
+U-cosets, and the color between two cosets depends only on the pair of
+cosets: aut(A) is exactly aut(A_U) wr aut(A_{G/U}).  `_aut_data` takes
+the least proper A-group order 1 < u < n over which A is plain, decides
+A_U = `restrict(A, u)` and A_{G/U} = `quotient(A, u)` by `_aut_data` in
+turn, and assembles, with m = n/u, so that U is the multiples of m and
+its cosets are the residues mod m:
 
 - the order |aut(A_U)|^m * |aut(A_{G/U})|;
 - the 0-stabilizer orbit labels: those of A_U scaled by m on U, and off
@@ -65,14 +82,30 @@ multiples of m and its cosets are the residues mod m:
   x -> g(x mod m) + x - (x mod m).  They generate the stabilizer but are
   not a strong generating set.
 
+A is a coprime tensor product when A = A_D (x) A_E for A-groups D and E
+of coprime orders d < e = n/d (`sring.tensor_split`).  Then both coset
+partitions, "x - y in D" and "x - y in E", are unions of colors, and the
+color of (x, y) is the pair of the colors of its two projections, so
+aut(A) is exactly aut(A_D) x aut(A_E) acting on Z_d x Z_e.  `_aut_data`
+takes the least such d, decides `restrict(A, d)` and `restrict(A, e)`
+by `_aut_data` in turn, and assembles by CRT, writing x = e*a + d*b with
+a = x/e mod d and b = x/d mod e:
+
+- the order |aut(A_D)| * |aut(A_E)|;
+- the 0-stabilizer orbit of x is the product of the orbits of a and b,
+  labelled by its least point;
+- the generators: each factor's stabilizer generators acting on their
+  own coordinate alone.
+
 The result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
 A search that runs out of budget raises and is not memoized, and a call
 with another budget is another key, so the memo never hides an overrun.
-Each factor of a plain ring is decided with the caller's budget, under
-the key a direct call would use, so a factor decided before is a memo
-hit; the assembly charges no nodes.  The budget so bounds every search,
-not the sum over a ring's factors.
+Each factor of a plain or tensor ring is decided with the caller's
+budget, under the key a direct call would use, so a factor decided
+before is a memo hit; a rank-2 ring and the assemblies charge no nodes.
+The budget so bounds every search, not the sum over a ring's factors.
+A negative budget is refused on entry, whichever case decides the ring.
 
 Rings over more than `MAX_SEARCH_DEGREE` points are refused with
 CapExceeded before the n x n color matrix is built.
@@ -81,6 +114,7 @@ CapExceeded before the n x n color matrix is built.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,7 +122,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from .perm import PermGroup, merge_orbits, orbit_partition, translations
-from .sring import SRing, _is_wreath, a_groups, quotient, restrict, restrict_section, sections
+from .sring import SRing, _is_wreath, a_groups, quotient, restrict, restrict_section, sections, tensor_split
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
@@ -98,7 +132,8 @@ AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 
 # Python's default recursion limit of 1000.  Rank-2-like levels finish in
 # one frame.  The largest witness has n = 300.  Raising the cap waits on a
 # size bound for `PermGroup`: its Schreier-Sims on Sym(60) still takes 6-7 s
-# on a 2-core Xeon, and `automorphism_group(rank2(n))` is Sym(n).
+# on a 2-core Xeon, and `automorphism_group(rank2(n))` is Sym(n), which it
+# builds from two generators: `.order()` on rank2(40) takes about 0.5 s.
 MAX_SEARCH_DEGREE = 512
 
 
@@ -142,12 +177,50 @@ def _relabel(keys: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=AUT_MEMO_SIZE)
 def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
-    """The search's data of aut(A), from its factors when A is plain."""
+    """The data of aut(A): direct for rank 2, assembled from the factors
+    of a plain ring or a coprime tensor product, searched otherwise."""
     check_search_degree(A.n)
-    u = next((u for u in a_groups(A)[1:-1] if _is_wreath(A, u, u)), None)
-    if u is None:
-        return _search(A, budget)
-    return _plain_wreath(_aut_data(restrict(A, u), budget), _aut_data(quotient(A, u), budget), u, A.n // u)
+    if budget is not None and budget < 0:
+        raise ValueError("search budget must be non-negative")
+    n = A.n
+    if A.rank == 2:
+        return _rank2(n)
+    ags = a_groups(A)
+    u = next((u for u in ags[1:-1] if _is_wreath(A, u, u)), None)
+    if u is not None:
+        return _plain_wreath(_aut_data(restrict(A, u), budget), _aut_data(quotient(A, u), budget), u, n // u)
+    d = next((d for d in ags[1:-1] if d * d < n and math.gcd(d, n // d) == 1 and n // d in ags
+              and tensor_split(A, d)), None)
+    if d is not None:
+        return _tensor(_aut_data(restrict(A, d), budget), _aut_data(restrict(A, n // d), budget), d, n // d)
+    return _search(A, budget)
+
+
+def _rank2(n: int) -> _AutData:
+    """The data of aut(A) = Sym(n) for the rank-2 ring over Z_n, n >= 2:
+    its 0-stabilizer Sym({1..n-1}) is generated by (1 2) and (1 2 ... n-1)."""
+    gens = []
+    if n > 2:
+        gens.append((0, 2, 1) + tuple(range(3, n)))
+    if n > 3:
+        gens.append((0,) + tuple(range(2, n)) + (1,))
+    return _AutData(tuple(gens), math.factorial(n), (0,) + (1,) * (n - 1))
+
+
+def _tensor(left: _AutData, right: _AutData, d: int, e: int) -> _AutData:
+    """The data of aut(A) = aut(A_D) x aut(A_E) from `left`, the data of
+    A_D, and `right`, that of A_E, where D and E have the coprime orders d
+    and e: x = e*a + d*b is the point (a, b) of Z_d x Z_e."""
+    x = np.arange(d * e)
+    a = x * pow(e, -1, d) % d
+    b = x * pow(d, -1, e) % e
+    # the orbit of (a, b) is the product of their orbits, labelled by its least point
+    key = np.asarray(left.orbit)[a] * e + np.asarray(right.orbit)[b]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    gens = [(e * np.asarray(g)[a] + d * b) % (d * e) for g in left.stabilizer_gens]
+    gens += [(e * a + d * np.asarray(g)[b]) % (d * e) for g in right.stabilizer_gens]
+    return _AutData(tuple(tuple(g.tolist()) for g in gens), left.order * right.order,
+                    tuple(first[inv].tolist()))
 
 
 def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
@@ -179,8 +252,6 @@ def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
 def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
     """The automorphism search of the module docstring, on any ring."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 0:
-        raise ValueError("search budget must be non-negative")
     n = A.n
     check_search_degree(n)
     C = np.asarray(A.class_of, dtype=np.int16)

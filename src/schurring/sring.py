@@ -254,7 +254,12 @@ def radical(A: SRing) -> int:
 
 def is_primitive(A: SRing) -> bool:
     """No proper nontrivial A-group (and n > 1)."""
-    return A.n > 1 and a_groups(A) == [1, A.n]
+    return _is_primitive(A, a_groups(A))
+
+
+def _is_primitive(A: SRing, ags: list[int]) -> bool:
+    """`is_primitive`, read off the A-group orders `ags` of A."""
+    return A.n > 1 and ags == [1, A.n]
 
 
 def is_quasidense(A: SRing) -> bool:
@@ -265,7 +270,11 @@ def is_quasidense(A: SRing) -> bool:
     the A-group lattice: no A-group lies strictly between them.  The
     verdict is read off `a_groups(A)`; no section ring is built.
     """
-    ags = a_groups(A)
+    return _is_quasidense(a_groups(A))
+
+
+def _is_quasidense(ags: list[int]) -> bool:
+    """`is_quasidense`, read off the A-group orders `ags` of a ring."""
     return all(
         is_prime(u // l)
         for u in ags
@@ -278,7 +287,12 @@ def is_quasidense(A: SRing) -> bool:
 
 def is_dense(A: SRing) -> bool:
     """Every subgroup of Z_n is an A-group."""
-    return a_groups(A) == divisors(A.n)
+    return _is_dense(A, a_groups(A))
+
+
+def _is_dense(A: SRing, ags: list[int]) -> bool:
+    """`is_dense`, read off the A-group orders `ags` of A."""
+    return ags == divisors(A.n)
 
 
 def _is_wreath(A: SRing, u: int, l: int) -> bool:
@@ -296,7 +310,11 @@ def wreath_decompositions(A: SRing) -> list[Section]:
     Condition: every class outside U is a union of L-cosets (its radical
     contains L).  Proper means l > 1 and u < n.  Sorted by (u, l).
     """
-    ags = a_groups(A)
+    return _wreath_decompositions(A, a_groups(A))
+
+
+def _wreath_decompositions(A: SRing, ags: list[int]) -> list[Section]:
+    """`wreath_decompositions`, read off the A-group orders `ags` of A."""
     return [Section(u, l) for u in ags[:-1] for l in ags[1:] if u % l == 0 and _is_wreath(A, u, l)]
 
 

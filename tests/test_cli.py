@@ -1,5 +1,6 @@
 """Command-line interface: commands, document round-trip, exit codes."""
 
+import hashlib
 import json
 import math
 import random
@@ -17,8 +18,10 @@ from schurring.cli import (
     ring_from_document,
     ring_to_document,
 )
+from schurring import sring as sring_mod
+from schurring.arith import classify
 from schurring.catalog import enumerate_srings
-from schurring.construct import rank2, witness
+from schurring.construct import cyclotomic, k_m, rank2, witness
 from schurring.schurity import MAX_SEARCH_DEGREE
 from schurring.sring import group_ring
 
@@ -189,6 +192,31 @@ def test_analyze_command(capsys, tmp_path):
     assert run(capsys, "analyze", str(garbled))[0] == EXIT_INPUT
 
 
+def test_analyze_reads_one_a_group_lattice(capsys, tmp_path, monkeypatch):
+    # the four lattice answers of the report are read off one `a_groups` call
+    calls = []
+    a_groups = sring_mod.a_groups
+    monkeypatch.setattr(sring_mod, "a_groups", lambda A: calls.append(A) or a_groups(A))
+    for A in (witness(8, 9), group_ring(12), rank2(7)):
+        calls.clear()
+        path = write_doc(tmp_path / f"r{A.n}.json", A)
+        assert run(capsys, "analyze", path, "--json")[0] == EXIT_OK
+        assert calls == [A]
+
+
+def test_analyze_output_is_frozen_on_the_witnesses(capsys, tmp_path):
+    # sha256 of the concatenated `analyze --json` outputs on the 14 witness
+    # documents, as written before the report read one A-group lattice
+    outs = []
+    for A in [witness(*classify(n).nonschur_split) for n in range(72, 301) if classify(n).nonschur_split]:
+        code, out, _ = run(capsys, "analyze", write_doc(tmp_path / f"w{A.n}.json", A), "--json")
+        assert code == EXIT_OK
+        outs.append(out)
+    assert len(outs) == 14
+    digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+    assert digest == "37a3e847299571e33bef471c45d2ef5643b6696441de4187a8d18cc590db7d0d"
+
+
 def test_analyze_allocation_is_bounded(capsys, tmp_path):
     # the rank-2 document that bounds `validate`; every report entry, the
     # cyclotomic check among them, stays within the same 64 MiB
@@ -239,9 +267,13 @@ def test_schurity_reports_huge_orders_factored(capsys, tmp_path):
 
 
 def test_schurity_budget_exit_code(capsys, tmp_path):
-    r_file = write_doc(tmp_path / "r19.json", rank2(19))
-    code, _, err = run(capsys, "schurity", r_file, "--budget", "1")
+    # the cyclotomic ring needs 34 search nodes; a rank-2 ring needs none
+    c_file = write_doc(tmp_path / "c35.json", cyclotomic(k_m(35)))
+    code, _, err = run(capsys, "schurity", c_file, "--budget", "1")
     assert code == EXIT_BUDGET and "budget" in err
+    r_file = write_doc(tmp_path / "r19.json", rank2(19))
+    code, out, _ = run(capsys, "schurity", r_file, "--budget", "0")
+    assert code == EXIT_OK and "schurian: True" in out
     # a negative budget is an input error, rejected while parsing
     for argv in (["schurity", r_file], ["enumerate", "4", "--census"]):
         for value in ("-1", "-5"):

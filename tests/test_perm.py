@@ -23,6 +23,7 @@ from schurring.perm import (
     mult,
     orbit_partition,
     orbits_of_perms,
+    _add_residue,
     _schreier_sims,
     _sift,
     perm_gen_wreath,
@@ -306,6 +307,19 @@ def test_sift_leaves_its_batch_unchanged():
                 assert (batch == before).all()
         rest, hit = _sift(levels, 0, np.array(members, dtype=levels[0].u.dtype), n)
         assert hit is None and (rest == np.arange(n)).all()
+
+
+def test_add_residue_refuses_a_base_point_met_again():
+    # a residue that sifted through every level fixes every base point; one
+    # that moves a base point would start a second level at it, and a chain
+    # built that way could grow without bound
+    n = 6
+    levels = chain_of(n, [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5)])
+    assert [lvl.point for lvl in levels] == [0, 1]
+    moves_base = np.array([0, 2, 1, 3, 4, 5], dtype=levels[0].u.dtype)
+    with pytest.raises(RuntimeError, match="already a base point"):
+        _add_residue(levels, (0, moves_base, len(levels)), -1)
+    assert [lvl.point for lvl in levels] == [0, 1]
 
 
 def test_is_normal_subgroup_examples():

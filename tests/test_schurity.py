@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import is_color_automorphism
@@ -22,7 +23,7 @@ from schurring.schurity import (
     is_schurian,
     minimal_nonschurian_check,
 )
-from schurring.sring import group_ring, tensor_split, validate
+from schurring.sring import _is_wreath, a_groups, group_ring, tensor_split, validate
 
 W4 = validate(4, [[0], [2], [1, 3]])
 
@@ -178,10 +179,10 @@ def test_budget_exhaustion_raises():
     # map moves: the smallest budget that decides each ring is pinned.
     # The plain wreath products over Z_55 and Z_66 (class sizes 1, 4, 25, 25
     # and 1, 5, 30, 30) are decided from their factors, each within the
-    # budget: rank2(5) or rank2(6) on U, and the same Z_11 ring of class sizes
-    # 1, 5, 5 on G/U.  Every budget is its own memo key, so each one runs its
-    # own searches.
-    for A, threshold in ((rank2(23), 42), (cyclotomic(k_m(35)), 34), (witness(8, 9), 618),
+    # budget: rank2(5) or rank2(6) on U, which cost nothing, and the same Z_11
+    # ring of class sizes 1, 5, 5 on G/U.  Every budget is its own memo key,
+    # so each one runs its own searches.
+    for A, threshold in ((cyclotomic(k_m(35)), 34), (witness(8, 9), 618),
                          (_catalog_ring(55, [1, 4, 25, 25]), 32), (_catalog_ring(66, [1, 5, 30, 30]), 32)):
         decided = is_schurian(A, budget=threshold)
         with pytest.raises(SearchBudgetExceeded):
@@ -189,8 +190,45 @@ def test_budget_exhaustion_raises():
         with pytest.raises(SearchBudgetExceeded):
             is_schurian(A, budget=1)
         assert is_schurian(A) == decided
-    with pytest.raises(ValueError):
-        is_schurian(W4, budget=-1)
+    # a rank-2 ring is decided without search
+    assert is_schurian(rank2(23), budget=0) == is_schurian(rank2(23))
+    # rank 2, plain over rank-2 factors, and a tensor product of rank-2
+    # rings: none of them reaches the search, and each refuses the budget
+    for A in (rank2(5), W4, tensor(rank2(3), rank2(5))):
+        with pytest.raises(ValueError):
+            is_schurian(A, budget=-1)
+
+
+def _is_tensor_only(A):
+    """Whether A is a coprime tensor product of two A-groups' rings but
+    not a plain wreath product: the rings `_aut_data` assembles by CRT."""
+    n, ags = A.n, a_groups(A)
+    return (not any(_is_wreath(A, u, u) for u in ags[1:-1])
+            and any(math.gcd(d, n // d) == 1 and n // d in ags and tensor_split(A, d) for d in ags[1:-1]))
+
+
+def _preserves_colors(A, g):
+    """Whether the permutation g of Z_n preserves every Cayley color of A:
+    `conftest.is_color_automorphism` in numpy, which saves about 3 s over
+    the 3,869 generators of the tensor rings checked below."""
+    C, x, g = np.array(A.class_of), np.arange(A.n), np.array(g)
+    return bool((C[(g[None, :] - g[:, None]) % A.n] == C[(x[None, :] - x[:, None]) % A.n]).all())
+
+
+def test_rank2_and_tensor_rings_match_the_bare_search(catalogs):
+    # aut(A) of a rank-2 ring is Sym(n), and that of a coprime tensor product
+    # the product of its factors' groups; both are assembled without search
+    # and checked here against the search itself
+    rings = [A for n in range(1, 73) for A in catalogs[n].rings if _is_tensor_only(A)]
+    assert len(rings) == 1068
+    rings += [rank2(n) for n in range(2, 73)]
+    for A in rings:
+        data, bare = _aut_data(A), _search(A)
+        assert (data.order, data.orbit) == (bare.order, bare.orbit), A.classes
+        for g in data.stabilizer_gens:
+            assert g[0] == 0 and _preserves_colors(A, g)
+        if A.n <= 24:
+            assert automorphism_group(A).order() == data.order
 
 
 def test_bare_search_budget_pins():
