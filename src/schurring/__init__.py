@@ -16,8 +16,6 @@ from .arith import (
     find_nonschur_split,
     omega,
     omega_star,
-    project,
-    subgroup_elements,
 )
 from .catalog import Catalog, CensusReport, brute_force_enumerate, census, enumerate_srings
 from .construct import (
@@ -32,7 +30,7 @@ from .construct import (
     witness,
     witness_detailed,
 )
-from .perm import PermGroup, is_normal_subgroup, perm_gen_wreath, translations
+from .perm import PermGroup, perm_gen_wreath, translations
 from .schurity import (
     SchurityVerdict,
     automorphism_group,

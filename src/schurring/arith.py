@@ -267,17 +267,3 @@ def divisors(n: int) -> list[int]:
         ds = [d * p**j for d in ds for j in range(k + 1)]
     return sorted(ds)
 
-
-def subgroup_elements(n: int, d: int) -> list[int]:
-    """The unique subgroup of order d in Z_n: multiples of n/d, sorted."""
-    if d <= 0 or n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    step = n // d
-    return list(range(0, n, step))
-
-
-def project(n: int, m: int, x: int) -> int:
-    """The canonical projection Z_n -> Z_m (m | n), i.e. x mod m."""
-    if m <= 0 or n % m != 0:
-        raise ValueError(f"{m} does not divide {n}")
-    return x % m

@@ -36,7 +36,10 @@ BRUTE_CAP = 13
 class Catalog:
     n: int
     rings: tuple[SRing, ...]
-    count_exact: int
+
+    @property
+    def count_exact(self) -> int:
+        return len(self.rings)
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,19 @@ class CensusEntry:
 @dataclass(frozen=True)
 class CensusReport:
     n: int
-    total: int
-    schurian_count: int
-    first_nonschurian: Optional[SRing]
     entries: tuple[CensusEntry, ...]
+
+    @property
+    def total(self) -> int:
+        return len(self.entries)
+
+    @property
+    def schurian_count(self) -> int:
+        return sum(e.verdict.schurian for e in self.entries)
+
+    @property
+    def first_nonschurian(self) -> Optional[SRing]:
+        return next((e.ring for e in self.entries if not e.verdict.schurian), None)
 
 
 def unit_subgroups(n: int) -> list[MultiplierGroup]:
@@ -154,7 +166,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
         per_divisor[d] = found
 
     rings = _catalog_order(per_divisor[n])
-    return Catalog(n, tuple(rings), len(rings))
+    return Catalog(n, tuple(rings))
 
 
 def _inverse_closed_partitions(n: int):
@@ -224,8 +236,7 @@ def brute_force_enumerate(n: int) -> Catalog:
             rings.add(validate(n, [[0]] + part))
         except SchurRingError:
             continue
-    ordered = _catalog_order(rings)
-    return Catalog(n, tuple(ordered), len(ordered))
+    return Catalog(n, tuple(_catalog_order(rings)))
 
 
 def census(n: int, cap: int = DEFAULT_CAP, budget: Optional[int] = None) -> CensusReport:
@@ -237,18 +248,11 @@ def census(n: int, cap: int = DEFAULT_CAP, budget: Optional[int] = None) -> Cens
     explicit witness ring (the test suite checks this at n = 72), so a
     closure that missed it fails here rather than being patched over.
     """
-    rings = enumerate_srings(n, cap).rings
+    report = CensusReport(
+        n, tuple(CensusEntry(A, is_schurian(A, budget)) for A in enumerate_srings(n, cap).rings)
+    )
     cls = classify(n)
-    entries = []
-    first_bad = None
-    good = 0
-    for A in rings:
-        v = is_schurian(A, budget)
-        entries.append(CensusEntry(A, v))
-        if v.schurian:
-            good += 1
-        elif first_bad is None:
-            first_bad = A
+    first_bad = report.first_nonschurian
     if cls.is_schur and first_bad is not None:
         raise RuntimeError(
             f"n={n} is in the families but a non-schurian ring was found: "
@@ -256,4 +260,4 @@ def census(n: int, cap: int = DEFAULT_CAP, budget: Optional[int] = None) -> Cens
         )
     if not cls.is_schur and first_bad is None:
         raise RuntimeError(f"n={n} is outside the families but all rings are schurian")
-    return CensusReport(n, len(rings), good, first_bad, tuple(entries))
+    return report

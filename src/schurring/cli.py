@@ -136,7 +136,7 @@ def _load_ring(path: str, searched: bool = False):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         return None, EXIT_INPUT
     try:

@@ -51,10 +51,6 @@ class IncompatibleSection(SchurRingError):
         )
 
 
-class NotASubgroup(SchurRingError):
-    pass
-
-
 class SectionActionMismatch(SchurRingError):
     pass
 

@@ -5,7 +5,7 @@ Permutations are tuples p of length n; p[i] is the image of i.  Products
 compose left-to-right: (p * q)(i) = q[p[i]].
 
 One Schreier-Sims routine builds the chains of `PermGroup` and of
-`perm_gen_wreath`; only `closure` lists a group's elements.
+`perm_gen_wreath`; nothing in the library lists a group's elements.
 """
 
 from __future__ import annotations
@@ -15,25 +15,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import NotASubgroup, SectionActionMismatch
+from .errors import SectionActionMismatch
 
 Perm = tuple[int, ...]
 
 
 def identity(n: int) -> Perm:
     return tuple(range(n))
-
-
-def mult(p: Perm, q: Perm) -> Perm:
-    """First p, then q."""
-    return tuple(q[x] for x in p)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
 
 
 def is_perm(p, n: int) -> bool:
@@ -317,41 +305,6 @@ def orbit_partition(labels: np.ndarray) -> list[tuple[int, ...]]:
     cuts = (np.flatnonzero(np.diff(lab[order])) + 1).tolist()
     order = order.tolist()
     return [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(order)])]
-
-
-def orbits_of_perms(n: int, perms: Iterable[Perm]) -> list[tuple[int, ...]]:
-    """Orbit partition of {0..n-1} under a set of permutations."""
-    return orbit_partition(merge_orbits(np.arange(n), perms))
-
-
-def is_normal_subgroup(gamma: PermGroup, delta: PermGroup) -> bool:
-    """Whether <delta> is normal in <gamma>; requires delta <= gamma."""
-    if gamma.degree != delta.degree:
-        raise NotASubgroup("degree mismatch")
-    for d in delta.generators:
-        if d not in gamma:
-            raise NotASubgroup(f"{d} is not in the supergroup")
-    for g in gamma.generators:
-        ginv = inverse(g)
-        for d in delta.generators:
-            if mult(mult(ginv, d), g) not in delta:
-                return False
-    return True
-
-
-def closure(n: int, gens: Iterable[Perm]) -> set[Perm]:
-    """All elements of the generated group, by BFS (small groups only)."""
-    elems = {identity(n)}
-    frontier = [identity(n)]
-    gens = [tuple(g) for g in gens]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = mult(p, g)
-            if q not in elems:
-                elems.add(q)
-                frontier.append(q)
-    return elems
 
 
 # -- generalized wreath product of permutation groups -------------------

@@ -1,19 +1,89 @@
 """Shared helpers: small brute-force oracles used to cross-check the
 library, the catalogs n <= 72 shared by the digest gates, and a terminal
-summary hook for the acceptance report."""
+summary hook for the acceptance report.
+
+The reference implementations the library does not need live here: the
+permutation product `mult` and `inverse`, the element BFS `closure` (the
+reference for `PermGroup.order` and `perm_gen_wreath`), the normality
+test by conjugation `is_normal_subgroup` (the reference for
+`is_normal_sring`), `orbits_of_perms`, and the subgroup and projection
+maps of Z_n, `subgroup_elements` and `project`."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from schurring.catalog import enumerate_srings
-from schurring.perm import closure, identity
+from schurring.perm import identity, merge_orbits, orbit_partition
 
 
 @pytest.fixture(scope="session")
 def catalogs():
     """enumerate_srings(n) for every n <= 72, enumerated once per session."""
     return {n: enumerate_srings(n) for n in range(1, 73)}
+
+
+def mult(p, q):
+    """First p, then q."""
+    return tuple(q[x] for x in p)
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def closure(n, gens):
+    """All elements of the generated group, by BFS (small groups only)."""
+    elems = {identity(n)}
+    frontier = [identity(n)]
+    gens = [tuple(g) for g in gens]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = mult(p, g)
+            if q not in elems:
+                elems.add(q)
+                frontier.append(q)
+    return elems
+
+
+def is_normal_subgroup(gamma, delta):
+    """Whether <delta> is normal in <gamma>; ValueError unless delta <= gamma."""
+    if gamma.degree != delta.degree:
+        raise ValueError("degree mismatch")
+    for d in delta.generators:
+        if d not in gamma:
+            raise ValueError(f"{d} is not in the supergroup")
+    for g in gamma.generators:
+        ginv = inverse(g)
+        for d in delta.generators:
+            if mult(mult(ginv, d), g) not in delta:
+                return False
+    return True
+
+
+def orbits_of_perms(n, perms):
+    """Orbit partition of {0..n-1} under a set of permutations."""
+    return orbit_partition(merge_orbits(np.arange(n), perms))
+
+
+def subgroup_elements(n, d):
+    """The unique subgroup of order d in Z_n: multiples of n/d, sorted."""
+    if d <= 0 or n % d != 0:
+        raise ValueError(f"{d} does not divide {n}")
+    step = n // d
+    return list(range(0, n, step))
+
+
+def project(n, m, x):
+    """The canonical projection Z_n -> Z_m (m | n), i.e. x mod m."""
+    if m <= 0 or n % m != 0:
+        raise ValueError(f"{m} does not divide {n}")
+    return x % m
 
 
 def is_color_automorphism(A, p):

@@ -8,6 +8,7 @@ import time
 from conftest import (
     brute_color_automorphisms,
     brute_wreath_elements,
+    closure,
     is_color_automorphism,
     sym_group_gens,
 )
@@ -24,7 +25,7 @@ from schurring.construct import (
     witness_detailed,
 )
 from schurring.errors import NotComplementary
-from schurring.perm import PermGroup, closure, perm_gen_wreath, translations
+from schurring.perm import PermGroup, perm_gen_wreath, translations
 from schurring.schurity import automorphism_group, is_schurian
 from schurring.sring import (
     a_groups,

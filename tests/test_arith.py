@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import project, subgroup_elements
 from schurring.arith import (
     ALL_FAMILIES,
     PK,
@@ -23,8 +24,6 @@ from schurring.arith import (
     is_prime,
     omega,
     omega_star,
-    project,
-    subgroup_elements,
 )
 
 

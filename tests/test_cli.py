@@ -118,6 +118,24 @@ def test_malformed_documents_are_validation_failures(capsys, tmp_path, doc):
         assert "Traceback" not in err and "ValueError" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'\xff\xfe{"n":1}',
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"n": ' + b"7" * 5000 + b', "classes": [[0]]}',
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_undecodable_documents_are_input_errors(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for command in ("analyze", "schurity"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
 FUZZ_SEED = 20111123
 FUZZ_DOCS = 1200
 

@@ -8,21 +8,21 @@ import pytest
 
 from conftest import (
     brute_wreath_elements,
+    closure,
+    inverse,
     is_color_automorphism,
+    is_normal_subgroup,
+    mult,
+    orbits_of_perms,
     sym_group_gens,
 )
 from schurring.construct import cyclotomic, gen_wreath, k_m, witness
-from schurring.errors import NotASubgroup, SectionActionMismatch
+from schurring.errors import SectionActionMismatch
 from schurring.perm import (
     PermGroup,
-    closure,
     identity,
-    inverse,
-    is_normal_subgroup,
     merge_orbits,
-    mult,
     orbit_partition,
-    orbits_of_perms,
     _add_residue,
     _schreier_sims,
     _sift,
@@ -329,9 +329,9 @@ def test_is_normal_subgroup_examples():
     assert is_normal_subgroup(sym3, alt3)
     assert not is_normal_subgroup(sym3, swap)
     assert is_normal_subgroup(dihedral(4), translations(4))
-    with pytest.raises(NotASubgroup):
+    with pytest.raises(ValueError):
         is_normal_subgroup(translations(4), dihedral(4))
-    with pytest.raises(NotASubgroup):
+    with pytest.raises(ValueError):
         is_normal_subgroup(translations(4), translations(5))
 
 

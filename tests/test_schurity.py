@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_color_automorphism
+from conftest import is_color_automorphism, is_normal_subgroup, orbits_of_perms
 from schurring.arith import classify
 from schurring.catalog import enumerate_srings
 from schurring.construct import MultiplierGroup, cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
-from schurring.perm import is_normal_subgroup, orbit_partition, orbits_of_perms, translations
+from schurring.perm import orbit_partition, translations
 from schurring.schurity import (
     MAX_SEARCH_DEGREE,
     _aut_data,
