@@ -9,24 +9,52 @@ keyed by their class-label vector, whose length fixes the order, and
 sections are looked up by it among the catalog rings of smaller order.
 Every ring the closure builds is an S-ring by theorem, so none is
 validated; a product is kept as a ring only when its labels, numbered by
-first appearance, are a new key.  `brute_force_enumerate` is the
-independent oracle: it walks all negation-closed partitions of
-Z_n \\ {0} and filters them by `validate`.  `census` joins a catalog
-with the schurity decision and checks the result against the arithmetic
-classification.
+first appearance, are a new key.
+
+The join glues each wreath product only at a reduced decomposition.
+Let W(A) be the proper decompositions (u, l) of A, as
+`wreath_decompositions` lists them; the unreduced join would build A
+once for each of them, from A_U and A_{G/L} glued at m = u/l.  For a
+fixed u the l's of W(A) are closed under lcm: L1 + L2 is an A-group
+inside U, and a set that is a union of L1-cosets and of L2-cosets is a
+union of (L1 + L2)-cosets.  For a fixed l the u's are closed under gcd:
+a class outside U1 n U2 lies outside U1 or outside U2.  So taking the
+least u for the current l, then the largest l for that u, ends at a
+*reduced* pair, least in u and largest in l.  The join reaches its
+triple (A_U, A_{G/L}, u/l): both sections are catalog rings, and neither
+filter below drops them.  Each condition reads one factor only:
+
+- u is least for l iff A1 = A_U is U'/L-wreath for no A1-group U' with
+  l | u' < u (`_smaller_u`): the A-groups of A inside U are A1's, and the
+  classes of A outside U are unions of L-cosets already.  W is closed
+  upward in u, so only the least candidate is tested: the A-group that L
+  and the classes of A1 that are not unions of L-cosets generate.
+- l is largest for u iff A2 = A_{G/L} is M/K-wreath, M of order m, for no
+  A2-group K with 1 < k | m (`_larger_l`): the A-groups of A above L are
+  the preimages of A2's, and a class of A outside U is the preimage of a
+  class of A2 outside M.  The K that serve all lie in one A2-group, so
+  only the subgroups of M of prime order are tested.
+
+`brute_force_enumerate` is the independent oracle: it walks all
+negation-closed partitions of Z_n \\ {0} and filters them by `validate`.
+`census` joins a catalog with the schurity decision and checks the
+result against the arithmetic classification.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Optional
 
-from .arith import classify, divisors
+from .arith import classify, divisors, factorize
 from .construct import MultiplierGroup, _gen_wreath_labels, _tensor_labels, cyclotomic, rank2, units
 from .errors import CapExceeded, NotAnAGroup, SchurRingError
-from .sring import SRing, _first_seen, quotient, restrict, validate
-from .schurity import SchurityVerdict, is_schurian
+from .sring import SRing, _first_seen, _is_wreath, quotient, restrict, validate
+from .schurity import SchurityVerdict, check_search_degree, is_schurian
 
 DEFAULT_CAP = 72
 BRUTE_CAP = 13
@@ -80,6 +108,38 @@ def unit_subgroups(n: int) -> list[MultiplierGroup]:
     return [MultiplierGroup(n, g, g) for g in sorted(groups, key=lambda g: (len(g), g))]
 
 
+@functools.cache
+def _primes(m: int) -> tuple[int, ...]:
+    """The primes dividing m, read once per order by `_larger_l`."""
+    return tuple(p for p, _ in factorize(m).factors)
+
+
+def _smaller_u(A1: SRing, l: int) -> bool:
+    """Whether A1 is U'/L-wreath, L of order l, for an A1-group U' with
+    l | u' < n1: then a product glued with A1 as its U-side has a
+    decomposition (u', l) with a smaller u.  A1 is U'/L-wreath iff U'
+    holds every class that is not a union of L-cosets.  L and those
+    classes generate an A1-group, as any union of classes does, so it is
+    the least U' that can serve; it is proper iff its generators have a
+    common factor."""
+    n1, c = A1.n, A1.class_of
+    step = n1 // l  # generates L
+    unstable = set(compress(c, map(ne, c, c[step:] + c[:step])))
+    return math.gcd(step, *compress(range(n1), map(unstable.__contains__, c))) > 1
+
+
+def _larger_l(A2: SRing, m: int) -> bool:
+    """Whether A2 is M/K-wreath, M of order m, for an A2-group K with
+    1 < k | m: then a product glued with A2 as its G/L-side has a
+    decomposition with a larger l.  The h in M such that every class
+    outside M is a union of <h>-cosets form a subgroup T, and T is an
+    A2-group: it is M cut with the radicals rad(X) = {h : X + h = X} of
+    those classes, and rad(X) is the A2-set where X * (-X) has the
+    coefficient |X|.  So such a K exists iff T > 1, iff T holds the
+    subgroup of some prime order p | m."""
+    return any(_is_wreath(A2, m, p) for p in _primes(m))
+
+
 def _catalog_order(rings) -> list[SRing]:
     return sorted(rings, key=lambda A: (A.rank, A.classes))
 
@@ -104,6 +164,20 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     one (`quotient`/`restrict`, once per ring and subgroup order) is
     looked up by its labels among the catalog rings; a miss raises
     KeyError.  The memos, local to this call, hold only ring ids.
+
+    Each product is glued only at a reduced decomposition (u, l): least
+    in u for its l, largest in l for its u.  Every wreath product A has
+    one, reached from any (u, l) in W(A) by taking the least u for l and
+    then the largest l for that u, since W(A) is closed under gcd in u
+    and lcm in l (the module docstring has the proof).  The two
+    conditions read one factor each, so they are filters on the two
+    indexes, computed once per ring and index after its section is
+    looked up: a left ring A1 is left out of the index of its quotient
+    by L when `_smaller_u(A1, l)`, a right ring A2 out of the index of
+    its order-m restriction when `_larger_l(A2, m)`.  A ring can still
+    be reached twice, e.g. when it is plain over two different U, or a
+    wreath product that is also a tensor product or cyclotomic; the
+    label-vector dedup keeps one copy.
     """
     if n > cap:
         raise CapExceeded(f"n={n} exceeds cap {cap}")
@@ -112,9 +186,10 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     per_divisor: dict[int, list[SRing]] = {}
     groups: dict[tuple, dict[int, list[SRing]]] = {}
 
-    def by_section(section, order: int, sub: int) -> dict[int, list[SRing]]:
+    def by_section(section, unreduced, order: int, sub: int) -> dict[int, list[SRing]]:
         """Rings of `order` having an A-group of order `sub`, grouped by
-        the id of their section `section(A, sub)`."""
+        the id of their section `section(A, sub)`, less those for which
+        `unreduced(A, sub)` holds."""
         memo = (section, order, sub)
         if memo not in groups:
             by_id: dict[int, list[SRing]] = {}
@@ -123,7 +198,9 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                     labels = section(A, sub).class_of
                 except NotAnAGroup:
                     continue
-                by_id.setdefault(ids[labels], []).append(A)
+                sid = ids[labels]  # every section is looked up, filtered or not
+                if not unreduced(A, sub):
+                    by_id.setdefault(sid, []).append(A)
             groups[memo] = by_id
         return groups[memo]
 
@@ -148,18 +225,13 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
             for A1 in per_divisor[d1]:
                 for A2 in per_divisor[d2]:
                     add(*_tensor_labels(A1, A2))
-        # generalized wreath products glued over a common section
-        for n1 in divisors(d):
-            if n1 == 1 or n1 == d:
-                continue
-            for m in divisors(n1):
-                if (d * m) % n1 != 0:
-                    continue
-                n2 = d * m // n1
-                if n2 == d or n2 not in per_divisor or n2 % m != 0:
-                    continue
-                right = by_section(restrict, n2, m)
-                for sid, left in by_section(quotient, n1, n1 // m).items():
+        # generalized wreath products glued over a common section U/L of
+        # order m, U of order n1 < d and L of order l = n1/m > 1
+        for n1 in divisors(d)[1:-1]:
+            for m in divisors(n1)[:-1]:
+                l = n1 // m
+                right = by_section(restrict, _larger_l, d // l, m)
+                for sid, left in by_section(quotient, _smaller_u, n1, l).items():
                     for A1 in left:
                         for A2 in right.get(sid, ()):
                             add(*_gen_wreath_labels(A1, A2, m))
@@ -247,7 +319,12 @@ def census(n: int, cap: int = DEFAULT_CAP, budget: Optional[int] = None) -> Cens
     least one of them must be non-schurian.  The catalog holds the
     explicit witness ring (the test suite checks this at n = 72), so a
     closure that missed it fails here rather than being patched over.
+    An n over the cap or over the search degree cap is refused with
+    CapExceeded before the catalog is built.
     """
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds cap {cap}")
+    check_search_degree(n)
     report = CensusReport(
         n, tuple(CensusEntry(A, is_schurian(A, budget)) for A in enumerate_srings(n, cap).rings)
     )

@@ -31,7 +31,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import ne
 
 import numpy as np
 
@@ -301,7 +302,10 @@ def _is_wreath(A: SRing, u: int, l: int) -> bool:
     for every x outside U.  O(n)."""
     n, c = A.n, A.class_of
     m, step = n // u, n // l
-    return all(c[x] == c[(x + step) % n] for x in range(n) if x % m)
+    # the points x whose class differs from that of x + n/l must lie in U,
+    # the multiples of m
+    moved = compress(range(n), map(ne, c, c[step:] + c[:step]))
+    return not any(map(m.__rmod__, moved))
 
 
 def wreath_decompositions(A: SRing) -> list[Section]:

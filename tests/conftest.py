@@ -7,21 +7,78 @@ permutation product `mult` and `inverse`, the element BFS `closure` (the
 reference for `PermGroup.order` and `perm_gen_wreath`), the normality
 test by conjugation `is_normal_subgroup` (the reference for
 `is_normal_sring`), `orbits_of_perms`, and the subgroup and projection
-maps of Z_n, `subgroup_elements` and `project`."""
+maps of Z_n, `subgroup_elements` and `project`.  `full_join` is the
+closure with the unreduced wreath join, which glues every pair whose
+sections agree: the reference for `enumerate_srings` past the frozen
+digests and for its two join filters."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from schurring.catalog import enumerate_srings
+from schurring.arith import divisors
+from schurring.catalog import enumerate_srings, unit_subgroups
+from schurring.construct import _gen_wreath_labels, _tensor_labels, cyclotomic, rank2
+from schurring.errors import NotAnAGroup
 from schurring.perm import identity, merge_orbits, orbit_partition
+from schurring.sring import SRing, _first_seen, quotient, restrict
 
 
 @pytest.fixture(scope="session")
 def catalogs():
     """enumerate_srings(n) for every n <= 72, enumerated once per session."""
     return {n: enumerate_srings(n) for n in range(1, 73)}
+
+
+def full_join(n):
+    """The closure over Z_n with every wreath product glued at each of its
+    decompositions: the rings of order n and the join's triples
+    (A1, A2, m) at order n, one per pair whose order-m sections agree."""
+    ids, per_divisor, groups = {}, {}, {}
+
+    def by_section(section, order, sub):
+        if (section, order, sub) not in groups:
+            by_id = {}
+            for A in per_divisor[order]:
+                try:
+                    labels = section(A, sub).class_of
+                except NotAnAGroup:
+                    continue
+                by_id.setdefault(ids[labels], []).append(A)
+            groups[section, order, sub] = by_id
+        return groups[section, order, sub]
+
+    for d in divisors(n):
+        found, triples = [], []
+
+        def add(order, raw):
+            class_of = _first_seen(raw)
+            if class_of not in ids:
+                ids[class_of] = len(ids)
+                found.append(SRing(order, class_of))
+
+        for K in unit_subgroups(d):
+            add(d, cyclotomic(K).class_of)
+        if d >= 2:
+            add(d, rank2(d).class_of)
+        for d1 in divisors(d):
+            d2 = d // d1
+            if 1 < d1 < d2 and math.gcd(d1, d2) == 1:
+                for A1 in per_divisor[d1]:
+                    for A2 in per_divisor[d2]:
+                        add(*_tensor_labels(A1, A2))
+        for n1 in divisors(d)[1:-1]:
+            for m in divisors(n1)[:-1]:
+                right = by_section(restrict, d * m // n1, m)
+                for sid, left in by_section(quotient, n1, n1 // m).items():
+                    for A1 in left:
+                        for A2 in right.get(sid, ()):
+                            triples.append((A1, A2, m))
+                            add(*_gen_wreath_labels(A1, A2, m))
+        per_divisor[d] = found
+    return frozenset(per_divisor[n]), triples
 
 
 def mult(p, q):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from conftest import full_join
 from test_verdict_digests import CENSUS_72_PATH, census_entry
 
 from schurring import catalog as catalog_mod
@@ -28,7 +29,15 @@ from schurring.construct import (
     witness_detailed,
 )
 from schurring.errors import CapExceeded, NotClosedUnderProduct
-from schurring.sring import Section, group_ring, quotient, restrict, restrict_section, validate
+from schurring.sring import (
+    Section,
+    group_ring,
+    quotient,
+    restrict,
+    restrict_section,
+    validate,
+    wreath_decompositions,
+)
 
 # exact counts, frozen from the brute-force oracle
 ORACLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 3, 6: 7, 7: 4, 8: 10, 9: 7, 10: 10, 11: 4, 12: 32}
@@ -103,6 +112,31 @@ def test_enumerate_rejects_a_section_outside_the_catalog(monkeypatch):
     monkeypatch.setattr(catalog_mod, "quotient", merged)
     with pytest.raises(KeyError):
         enumerate_srings(12)
+
+
+def test_join_filters_match_their_definitions():
+    # every triple the unreduced join glues, d <= 36: the left filter fires
+    # iff the product has a decomposition (u', l) with u' | u, u' < u, the
+    # right one iff it has a decomposition (u, l') with l | l', l' > l
+    triples = 0
+    for d in range(1, 37):
+        for A1, A2, m in full_join(d)[1]:
+            u, l = A1.n, A1.n // m
+            W = wreath_decompositions(gen_wreath(A1, A2, m))
+            assert (u, l) in {(s.u, s.l) for s in W}
+            smaller_u = any(s.l == l and u % s.u == 0 and s.u < u for s in W)
+            larger_l = any(s.u == u and s.l % l == 0 and s.l > l for s in W)
+            assert catalog_mod._smaller_u(A1, l) == smaller_u, (A1.class_of, l)
+            assert catalog_mod._larger_l(A2, m) == larger_l, (A2.class_of, m)
+            triples += 1
+    assert triples == 3175
+
+
+def test_reduced_join_matches_full_join_past_72():
+    # n <= 72 is held by the frozen digests; past them the ring sets of the
+    # reduced and the unreduced join must agree
+    for n in (80, 108, 126):
+        assert set(enumerate_srings(n, cap=n).rings) == full_join(n)[0], n
 
 
 def test_brute_force_examples():

@@ -18,10 +18,12 @@ from schurring.cli import (
     ring_from_document,
     ring_to_document,
 )
+from schurring import catalog as catalog_mod
 from schurring import sring as sring_mod
 from schurring.arith import classify
 from schurring.catalog import enumerate_srings
 from schurring.construct import cyclotomic, k_m, rank2, witness
+from schurring.errors import CapExceeded
 from schurring.schurity import MAX_SEARCH_DEGREE
 from schurring.sring import group_ring
 
@@ -316,6 +318,23 @@ def test_schurity_degree_cap_is_input_error(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, "schurity", path, "--json")
         assert code == EXIT_INPUT and out == ""
         assert err == f"error: n={degree} exceeds the search degree cap {MAX_SEARCH_DEGREE}\n"
+
+
+def test_census_degree_cap_is_refused_before_enumerating(capsys, monkeypatch):
+    # no ring over more than MAX_SEARCH_DEGREE points can be decided, so the
+    # census refuses such an n before it builds the catalog
+    def no_enumerate(*args):
+        raise AssertionError("enumerate_srings ran before the degree cap")
+
+    monkeypatch.setattr(catalog_mod, "enumerate_srings", no_enumerate)
+    with pytest.raises(CapExceeded, match="exceeds the search degree cap"):
+        catalog_mod.census(MAX_SEARCH_DEGREE + 2, cap=1000)
+    code, out, err = run(capsys, "enumerate", "600", "--census", "--cap", "1000")
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: n=600 exceeds the search degree cap {MAX_SEARCH_DEGREE}\n"
+    # the enumeration cap is checked first
+    code, out, err = run(capsys, "enumerate", "600", "--census")
+    assert code == EXIT_INPUT and err == "error: n=600 exceeds cap 72\n"
 
 
 def test_enumerate_command(capsys):
