@@ -42,7 +42,6 @@ from .schurity import (
 from .sring import (
     Section,
     SRing,
-    a_groups,
     group_ring,
     highest_classes,
     is_dense,

@@ -52,7 +52,7 @@ from typing import Optional
 
 from .arith import classify, divisors, factorize
 from .construct import MultiplierGroup, _gen_wreath_labels, _tensor_labels, cyclotomic, rank2, units
-from .errors import CapExceeded, NotAnAGroup, SchurRingError
+from .errors import CapExceeded, SchurRingError
 from .sring import SRing, _first_seen, _is_wreath, quotient, restrict, validate
 from .schurity import SchurityVerdict, check_search_degree, is_schurian
 
@@ -194,11 +194,9 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
         if memo not in groups:
             by_id: dict[int, list[SRing]] = {}
             for A in per_divisor[order]:
-                try:
-                    labels = section(A, sub).class_of
-                except NotAnAGroup:
+                if sub not in A.a_groups:
                     continue
-                sid = ids[labels]  # every section is looked up, filtered or not
+                sid = ids[section(A, sub).class_of]  # every section is looked up, filtered or not
                 if not unreduced(A, sub):
                     by_id.setdefault(sid, []).append(A)
             groups[memo] = by_id

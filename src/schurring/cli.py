@@ -16,12 +16,11 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from . import sring as sring_mod
 from .arith import classify
 from .construct import is_cyclotomic, witness_detailed
 from .errors import CapExceeded, SchurRingError, SearchBudgetExceeded
 from .schurity import check_search_degree, is_schurian
-from .sring import SRing, validate
+from .sring import SRing, is_dense, is_primitive, is_quasidense, radical, validate, wreath_decompositions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -157,17 +156,16 @@ def cmd_analyze(args) -> int:
     if A is None:
         return code
     K = is_cyclotomic(A)
-    ags = sring_mod.a_groups(A)
     report = {
         "n": A.n,
         "rank": A.rank,
-        "a_groups": ags,
-        "radical": sring_mod.radical(A),
-        "dense": sring_mod._is_dense(A, ags),
-        "quasidense": sring_mod._is_quasidense(ags),
-        "primitive": sring_mod._is_primitive(A, ags),
+        "a_groups": list(A.a_groups),
+        "radical": radical(A),
+        "dense": is_dense(A),
+        "quasidense": is_quasidense(A),
+        "primitive": is_primitive(A),
         "cyclotomic": list(K.elements) if K else None,
-        "wreath_decompositions": [[s.u, s.l] for s in sring_mod._wreath_decompositions(A, ags)],
+        "wreath_decompositions": [[s.u, s.l] for s in wreath_decompositions(A)],
     }
     _emit(report, args.json)
     return EXIT_OK

@@ -122,7 +122,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from .perm import PermGroup, merge_orbits, orbit_partition, translations
-from .sring import SRing, _is_wreath, a_groups, quotient, restrict, restrict_section, sections, tensor_split
+from .sring import SRing, _is_wreath, quotient, restrict, restrict_section, sections, tensor_split
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
@@ -185,7 +185,7 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
     n = A.n
     if A.rank == 2:
         return _rank2(n)
-    ags = a_groups(A)
+    ags = A.a_groups
     u = next((u for u in ags[1:-1] if _is_wreath(A, u, u)), None)
     if u is not None:
         return _plain_wreath(_aut_data(restrict(A, u), budget), _aut_data(quotient(A, u), budget), u, n // u)

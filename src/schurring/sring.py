@@ -10,9 +10,12 @@ every pair of classes (X, Y) the convolution counts
 numbered by first appearance: class i is the i-th distinct label met
 from point 0 upward, which is exactly the i-th class by minimum element.
 Two labellings give the same vector iff they induce the same partition,
-so `==` and `hash` on (n, class_of) are the ring's identity.  The classes
-themselves, ascending and ordered by their minimum, are listed from the
-labels the first time they are read.
+so `==` and `hash` on (n, class_of) are the ring's identity.  The rank,
+the classes themselves (ascending, ordered by their minimum) and the
+A-group lattice `a_groups` are derived from the labels the first time
+they are read.  Every structural question below (sections, primitivity,
+density, quasidensity, wreath decompositions, tensor splits) reads that
+one lattice.
 
 `validate` checks a partition that comes from outside.  A partition that
 is an S-ring by theorem is not checked again: `restrict` and `quotient`
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import ne
@@ -74,6 +78,15 @@ class SRing:
         for x, c in enumerate(self.class_of):
             classes[c].append(x)
         return tuple(map(tuple, classes))
+
+    @functools.cached_property
+    def a_groups(self) -> tuple[int, ...]:
+        """The A-group lattice: the orders d | n, ascending, whose subgroup
+        (the multiples of n/d) is a union of classes, i.e. the classes of
+        its points hold d points in all.  Includes 1 and n.  O(n + sigma(n))."""
+        n, c = self.n, self.class_of
+        size = Counter(c)
+        return tuple(d for d in divisors(n) if sum(map(size.__getitem__, set(c[::n // d]))) == d)
 
     def __repr__(self):
         return f"SRing(n={self.n}, rank={self.rank})"
@@ -177,30 +190,16 @@ def group_ring(n: int) -> SRing:
     return _from_labels(n, range(n))
 
 
-def _is_a_group(A: SRing, d: int) -> bool:
-    """Whether d | n and the subgroup of order d is a union of classes: the
-    labels of its points occur on d points in all."""
-    if d < 1 or A.n % d:
-        return False
-    labels = set(A.class_of[::A.n // d])
-    return sum(map(labels.__contains__, A.class_of)) == d
-
-
-def a_groups(A: SRing) -> list[int]:
-    """Orders d | n whose subgroup is a union of classes; includes 1 and n."""
-    return [d for d in divisors(A.n) if _is_a_group(A, d)]
-
-
 def restrict(A: SRing, d: int) -> SRing:
     """A_H for the A-group H of order d, relabeled to Z_d via x -> x/(n/d)."""
-    if not _is_a_group(A, d):
+    if d not in A.a_groups:
         raise NotAnAGroup(f"order {d} is not an A-group of {A!r}")
     return _from_labels(d, A.class_of[::A.n // d])
 
 
 def quotient(A: SRing, l: int) -> SRing:
     """A_{G/L} for the A-group L of order l, over Z_{n/l} via x -> x mod n/l."""
-    if not _is_a_group(A, l):
+    if l not in A.a_groups:
         raise NotAnAGroup(f"order {l} is not an A-group of {A!r}")
     m = A.n // l
     # images of classes coincide or are disjoint, and a class meets every
@@ -216,7 +215,7 @@ def restrict_section(A: SRing, s: Section) -> SRing:
 
 def sections(A: SRing, proper_only: bool = False) -> list[Section]:
     """All A-sections (u, l); with proper_only, excludes (n, 1)."""
-    ags = a_groups(A)
+    ags = A.a_groups
     out = [
         Section(u, l)
         for u in ags
@@ -255,12 +254,7 @@ def radical(A: SRing) -> int:
 
 def is_primitive(A: SRing) -> bool:
     """No proper nontrivial A-group (and n > 1)."""
-    return _is_primitive(A, a_groups(A))
-
-
-def _is_primitive(A: SRing, ags: list[int]) -> bool:
-    """`is_primitive`, read off the A-group orders `ags` of A."""
-    return A.n > 1 and ags == [1, A.n]
+    return A.n > 1 and A.a_groups == (1, A.n)
 
 
 def is_quasidense(A: SRing) -> bool:
@@ -269,13 +263,9 @@ def is_quasidense(A: SRing) -> bool:
     The A_S-groups of a section S = U/L are exactly H/L for the A-groups
     H with L <= H <= U, so S is primitive iff L < U is a covering pair of
     the A-group lattice: no A-group lies strictly between them.  The
-    verdict is read off `a_groups(A)`; no section ring is built.
+    verdict is read off `A.a_groups`; no section ring is built.
     """
-    return _is_quasidense(a_groups(A))
-
-
-def _is_quasidense(ags: list[int]) -> bool:
-    """`is_quasidense`, read off the A-group orders `ags` of a ring."""
+    ags = A.a_groups
     return all(
         is_prime(u // l)
         for u in ags
@@ -288,12 +278,7 @@ def _is_quasidense(ags: list[int]) -> bool:
 
 def is_dense(A: SRing) -> bool:
     """Every subgroup of Z_n is an A-group."""
-    return _is_dense(A, a_groups(A))
-
-
-def _is_dense(A: SRing, ags: list[int]) -> bool:
-    """`is_dense`, read off the A-group orders `ags` of A."""
-    return ags == divisors(A.n)
+    return A.a_groups == tuple(divisors(A.n))
 
 
 def _is_wreath(A: SRing, u: int, l: int) -> bool:
@@ -314,11 +299,7 @@ def wreath_decompositions(A: SRing) -> list[Section]:
     Condition: every class outside U is a union of L-cosets (its radical
     contains L).  Proper means l > 1 and u < n.  Sorted by (u, l).
     """
-    return _wreath_decompositions(A, a_groups(A))
-
-
-def _wreath_decompositions(A: SRing, ags: list[int]) -> list[Section]:
-    """`wreath_decompositions`, read off the A-group orders `ags` of A."""
+    ags = A.a_groups
     return [Section(u, l) for u in ags[:-1] for l in ags[1:] if u % l == 0 and _is_wreath(A, u, l)]
 
 
@@ -330,7 +311,7 @@ def tensor_split(A: SRing, d: int) -> bool:
     e = n // d
     if math.gcd(d, e) != 1:
         raise NotComplementary(f"{d} and {n // d} are not coprime")
-    if not (_is_a_group(A, d) and _is_a_group(A, e)):
+    if not (d in A.a_groups and e in A.a_groups):
         raise NotComplementary(f"orders {d}, {e} must both be A-groups")
     # x -> (x mod d, x mod e) is one to one (CRT), so a class is the full
     # product of its projections iff it has as many points

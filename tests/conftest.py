@@ -7,10 +7,11 @@ permutation product `mult` and `inverse`, the element BFS `closure` (the
 reference for `PermGroup.order` and `perm_gen_wreath`), the normality
 test by conjugation `is_normal_subgroup` (the reference for
 `is_normal_sring`), `orbits_of_perms`, and the subgroup and projection
-maps of Z_n, `subgroup_elements` and `project`.  `full_join` is the
-closure with the unreduced wreath join, which glues every pair whose
-sections agree: the reference for `enumerate_srings` past the frozen
-digests and for its two join filters."""
+maps of Z_n, `subgroup_elements` and `project`, and `a_groups_by_scan`,
+one label scan per divisor, the reference for `SRing.a_groups`.
+`full_join` is the closure with the unreduced wreath join, which glues
+every pair whose sections agree: the reference for `enumerate_srings`
+past the frozen digests and for its two join filters."""
 
 import itertools
 import math
@@ -79,6 +80,17 @@ def full_join(n):
                             add(*_gen_wreath_labels(A1, A2, m))
         per_divisor[d] = found
     return frozenset(per_divisor[n]), triples
+
+
+def a_groups_by_scan(A):
+    """The A-group orders of A, one O(n) label scan per divisor d: the
+    labels of the multiples of n/d occur on d points in all."""
+    out = []
+    for d in divisors(A.n):
+        labels = set(A.class_of[::A.n // d])
+        if sum(map(labels.__contains__, A.class_of)) == d:
+            out.append(d)
+    return out
 
 
 def mult(p, q):

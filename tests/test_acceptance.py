@@ -28,7 +28,6 @@ from schurring.errors import NotComplementary
 from schurring.perm import PermGroup, perm_gen_wreath, translations
 from schurring.schurity import automorphism_group, is_schurian
 from schurring.sring import (
-    a_groups,
     is_dense,
     is_quasidense,
     quotient,
@@ -199,7 +198,7 @@ def test_criterion_09_structural_property_suites():
                 ok = ok and is_cyclotomic(A) is not None and is_dense(A)
             if qd:
                 # every subgroup above the radical is an A-group
-                ags = set(a_groups(A))
+                ags = set(A.a_groups)
                 ok = ok and all(
                     d in ags for d in divisors(n) if d % rad == 0
                 )

@@ -1,5 +1,6 @@
 """Command-line interface: commands, document round-trip, exit codes."""
 
+import functools
 import hashlib
 import json
 import math
@@ -19,13 +20,12 @@ from schurring.cli import (
     ring_to_document,
 )
 from schurring import catalog as catalog_mod
-from schurring import sring as sring_mod
 from schurring.arith import classify
 from schurring.catalog import enumerate_srings
 from schurring.construct import cyclotomic, k_m, rank2, witness
 from schurring.errors import CapExceeded
 from schurring.schurity import MAX_SEARCH_DEGREE
-from schurring.sring import group_ring
+from schurring.sring import SRing, group_ring
 
 
 def run(capsys, *argv):
@@ -213,10 +213,13 @@ def test_analyze_command(capsys, tmp_path):
 
 
 def test_analyze_reads_one_a_group_lattice(capsys, tmp_path, monkeypatch):
-    # the four lattice answers of the report are read off one `a_groups` call
+    # the report's lattice answers all read one `SRing.a_groups`, which is
+    # computed once per document: count the computations
     calls = []
-    a_groups = sring_mod.a_groups
-    monkeypatch.setattr(sring_mod, "a_groups", lambda A: calls.append(A) or a_groups(A))
+    lattice = SRing.a_groups.func
+    counted = functools.cached_property(lambda A: calls.append(A) or lattice(A))
+    counted.__set_name__(SRing, "a_groups")
+    monkeypatch.setattr(SRing, "a_groups", counted)
     for A in (witness(8, 9), group_ring(12), rank2(7)):
         calls.clear()
         path = write_doc(tmp_path / f"r{A.n}.json", A)

@@ -23,7 +23,7 @@ from schurring.schurity import (
     is_schurian,
     minimal_nonschurian_check,
 )
-from schurring.sring import _is_wreath, a_groups, group_ring, tensor_split, validate
+from schurring.sring import _is_wreath, group_ring, tensor_split, validate
 
 W4 = validate(4, [[0], [2], [1, 3]])
 
@@ -77,6 +77,16 @@ def test_stabilizer_chain_is_checked_independently():
         assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == tuple(orbit_partition(data.orbit))
         # every point is labelled by the least point of its orbit
         assert all(data.orbit[data.orbit[x]] == data.orbit[x] <= x for x in range(A.n))
+
+
+def test_every_witness_to_512_is_nonschurian():
+    # the paper's non-Schur side up to the search degree cap: each of the 32
+    # non-Schur orders n <= 512 has a witness ring, decided within 10^6 nodes
+    splits = {n: classify(n).nonschur_split for n in range(1, MAX_SEARCH_DEGREE + 1)}
+    orders = [n for n, split in splits.items() if split]
+    assert len(orders) == 32 and orders[0] == 72
+    for n in orders:
+        assert not is_schurian(witness(*splits[n]), 10**6).schurian, n
 
 
 def test_aut_order_is_multiplier_invariant():
@@ -202,7 +212,7 @@ def test_budget_exhaustion_raises():
 def _is_tensor_only(A):
     """Whether A is a coprime tensor product of two A-groups' rings but
     not a plain wreath product: the rings `_aut_data` assembles by CRT."""
-    n, ags = A.n, a_groups(A)
+    n, ags = A.n, A.a_groups
     return (not any(_is_wreath(A, u, u) for u in ags[1:-1])
             and any(math.gcd(d, n // d) == 1 and n // d in ags and tensor_split(A, d) for d in ags[1:-1]))
 

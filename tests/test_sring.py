@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import a_groups_by_scan
 from schurring.arith import classify, is_prime
 from schurring.catalog import _inverse_closed_partitions, enumerate_srings
 from schurring.construct import (
@@ -29,8 +30,8 @@ from schurring.errors import (
 )
 from schurring.sring import (
     Section,
+    SRing,
     _from_labels,
-    a_groups,
     group_ring,
     highest_classes,
     is_dense,
@@ -241,9 +242,20 @@ def test_validate_allocation_is_bounded():
 
 
 def test_a_groups_examples():
-    assert a_groups(group_ring(12)) == [1, 2, 3, 4, 6, 12]
-    assert a_groups(rank2(6)) == [1, 6]
-    assert a_groups(W4) == [1, 2, 4]
+    assert group_ring(12).a_groups == (1, 2, 3, 4, 6, 12)
+    assert rank2(6).a_groups == (1, 6)
+    assert W4.a_groups == (1, 2, 4)
+
+
+def test_a_groups_match_the_scan(catalogs):
+    # the lattice from the class sizes against one label scan per divisor,
+    # on fresh copies so that no other test has listed their classes yet
+    rings = [A for n in range(1, 73) for A in catalogs[n].rings] + _witness_rings()
+    assert len(rings) == 8914 + 14
+    for A in rings:
+        B = SRing(A.n, A.class_of)
+        assert list(B.a_groups) == a_groups_by_scan(A), A.class_of
+        assert "classes" not in B.__dict__
 
 
 def test_restrict_examples():
@@ -272,7 +284,7 @@ def test_section_classes_match_the_validated_sections():
     # the S-ring that validating its own classes gives, class_of included
     for n in range(1, 25):
         for A in enumerate_srings(n).rings:
-            for d in a_groups(A):
+            for d in A.a_groups:
                 for section in (restrict, quotient):
                     B = section(A, d)
                     assert validate(B.n, B.classes) == B, (A.classes, d, section)
@@ -287,16 +299,16 @@ def test_restrict_section_examples():
 def test_restrict_quotient_functoriality():
     rings = [group_ring(12), W8, cyclotomic(k_m(12)), tensor(W4, group_ring(3))]
     for A in rings:
-        ags = a_groups(A)
+        ags = A.a_groups
         for d2 in ags:
             B = restrict(A, d2)
-            for d1 in a_groups(B):
+            for d1 in B.a_groups:
                 if d1 in ags:
                     assert restrict(B, d1) == restrict(A, d1)
         for l1 in ags:
             B = quotient(A, l1)
             for l2 in ags:
-                if l2 % l1 == 0 and (l2 // l1) in a_groups(B):
+                if l2 % l1 == 0 and (l2 // l1) in B.a_groups:
                     assert (
                         quotient(B, l2 // l1) == quotient(A, l2)
                     )
@@ -386,10 +398,10 @@ def test_is_quasidense_matches_section_rings():
         assert is_quasidense(A) == _quasidense_by_section_rings(A), A.class_of
     # the A_S-groups of S = U/L are H/L for the A-groups L <= H <= U
     for A in (A for A in rings if A.n <= 24):
-        ags = a_groups(A)
+        ags = A.a_groups
         for s in sections(A):
             interval = [h // s.l for h in ags if h % s.l == 0 and s.u % h == 0]
-            assert a_groups(restrict_section(A, s)) == interval, (A.class_of, s)
+            assert list(restrict_section(A, s).a_groups) == interval, (A.class_of, s)
 
 
 def test_is_dense_examples():
@@ -408,7 +420,7 @@ def test_wreath_decompositions_examples():
 def _wreath_decompositions_by_radicals(A):
     """Reference: (u, l) such that the radical of every class outside U
     contains L, from `radical_of_class`."""
-    ags = a_groups(A)
+    ags = A.a_groups
     rad = [radical_of_class(A, i) for i in range(A.rank)]
     out = []
     for u in ags[:-1]:
