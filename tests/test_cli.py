@@ -138,6 +138,48 @@ def test_undecodable_documents_are_input_errors(capsys, tmp_path, content):
         assert err.startswith("error: cannot read") and "Traceback" not in err
 
 
+EXIT_TABLE = [
+    # every case of README's exit-code paragraph: argv, exit code, first line of stderr
+    (["analyze", "{d}/missing.json"], EXIT_INPUT,
+     "error: cannot read {d}/missing.json: [Errno 2] No such file or directory: '{d}/missing.json'"),
+    (["schurity", "{d}/garbled.json"], EXIT_INPUT,
+     "error: cannot read {d}/garbled.json: Expecting value: line 1 column 1 (char 0)"),
+    (["witness", "8", "9", "-o", "{d}/missing/w.json"], EXIT_INPUT,
+     "error: cannot write {d}/missing/w.json: [Errno 2] No such file or directory: '{d}/missing/w.json'"),
+    (["schurity", "{d}/r19.json", "--budget=-1"], EXIT_INPUT,
+     "usage: schurring schurity [-h] [--budget BUDGET] [--json] file"),
+    (["classify", "10000000000000000000000"], EXIT_INPUT, "error: n out of range: 10000000000000000000000"),
+    (["enumerate", "9223372036854775808", "--cap", "99999999999999999999"], EXIT_INPUT,
+     "error: n out of range: 9223372036854775808"),
+    (["enumerate", "0"], EXIT_INPUT, "error: n must be positive"),
+    (["schurity", "{d}/r513.json"], EXIT_INPUT, "error: n=513 exceeds the search degree cap 512"),
+    (["witness", "8", "75"], EXIT_INPUT, "error: n=600 exceeds the search degree cap 512"),
+    (["enumerate", "600", "--census", "--cap", "1000"], EXIT_INPUT, "error: n=600 exceeds the search degree cap 512"),
+    (["analyze", "{d}/not-inverse-closed.json"], EXIT_VALIDATION,
+     "validation failure: NotInverseClosed: negation of class (2, 3) is not a class"),
+    (["schurity", "{d}/string-n.json"], EXIT_VALIDATION,
+     'validation failure: ValueError: document must be {"n": int, "classes": [[int]]}'),
+    (["schurity", "{d}/c35.json", "--budget", "1"], EXIT_BUDGET, "error: search budget exceeded"),
+    (["enumerate", "35", "--census", "--budget", "1"], EXIT_BUDGET, "error: search budget exceeded"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want_err", EXIT_TABLE, ids=[" ".join(argv).replace("{d}/", "") for argv, _, _ in EXIT_TABLE]
+)
+def test_exit_code_table(capsys, tmp_path, monkeypatch, argv, want_code, want_err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    write_doc(tmp_path / "r19.json", rank2(19))
+    write_doc(tmp_path / "r513.json", rank2(MAX_SEARCH_DEGREE + 1))
+    write_doc(tmp_path / "c35.json", cyclotomic(k_m(35)))
+    (tmp_path / "garbled.json").write_text("not json")
+    (tmp_path / "not-inverse-closed.json").write_text('{"n": 4, "classes": [[0], [1], [2, 3]]}')
+    (tmp_path / "string-n.json").write_text('{"n": "4", "classes": [[0], [2], [1, 3]]}')
+    code, out, err = run(capsys, *(a.replace("{d}", str(tmp_path)) for a in argv))
+    assert (code, out) == (want_code, "")
+    assert err.splitlines()[0] == want_err.replace("{d}", str(tmp_path))
+
+
 FUZZ_SEED = 20111123
 FUZZ_DOCS = 1200
 
