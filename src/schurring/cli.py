@@ -4,8 +4,9 @@ decide rings stored as JSON documents, run enumerations and censuses.
 Document format: {"n": int, "classes": [[int]]}, canonical on output
 (classes sorted by minimum element, elements ascending).
 
-Exit codes: 0 success, 1 input error, 2 validation failure, 3 search
-budget exceeded.
+Each command returns its report or raises; `main` alone prints the
+report and maps an exception to its exit code: 0 success, 1 input error,
+2 validation failure, 3 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+
+
+class _InvalidDocument(Exception):
+    """A ring document that fails its shape check or the S-ring axioms;
+    the message names the original exception type."""
 
 
 def ring_to_document(A: SRing) -> dict:
@@ -83,30 +89,22 @@ def _big(x: int):
     return {"factored": factors}
 
 
-def cmd_classify(args) -> int:
-    try:
-        c = classify(args.n)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_classify(args) -> dict:
+    c = classify(args.n)
     report = {"n": args.n, "schur": c.is_schur}
     if c.is_schur:
         report["families"] = sorted(c.families)
     else:
         report["split"] = list(c.nonschur_split)
-    _emit(report, args.json)
-    return EXIT_OK
+    return report
 
 
-def cmd_witness(args) -> int:
-    try:
-        # bound the n1*n2 points before building them; non-positive parts keep their message
-        if args.n1 > 0 and args.n2 > 0:
-            check_search_degree(args.n1 * args.n2)
-        w = witness_detailed(args.n1, args.n2)
-    except (CapExceeded, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_witness(args) -> dict:
+    # bound the n1*n2 points before building them; non-positive parts keep their message
+    if args.n1 > 0 and args.n2 > 0:
+        check_search_degree(args.n1 * args.n2)
+    w = witness_detailed(args.n1, args.n2)
+    doc = ring_to_document(w.ring)
     report = {
         "n": w.ring.n,
         "rank": w.ring.rank,
@@ -116,47 +114,39 @@ def cmd_witness(args) -> int:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(ring_to_document(w.ring), fh)
+                json.dump(doc, fh)
                 fh.write("\n")
         except OSError as e:
-            print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"cannot write {args.output}: {e}") from None
         report["written"] = args.output
     else:
-        report["classes"] = [list(c) for c in w.ring.classes]
-    _emit(report, args.json)
-    return EXIT_OK
+        report["classes"] = doc["classes"]
+    return report
 
 
-def _load_ring(path: str, searched: bool = False):
-    """The ring in the document at `path`, or None and an exit code.  A
-    ring that will be `searched` has its degree checked against the search
-    cap before it is validated."""
+def _load_ring(path: str, searched: bool = False) -> SRing:
+    """The ring in the document at `path`.  A ring that will be `searched`
+    has its degree checked against the search cap before it is validated."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        return None, EXIT_INPUT
+        raise ValueError(f"cannot read {path}: {e}") from None
     try:
         _check_shape(doc)
         if searched:
             check_search_degree(doc["n"])
-        return validate(doc["n"], doc["classes"]), EXIT_OK
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None, EXIT_INPUT
+        return validate(doc["n"], doc["classes"])
+    except CapExceeded:
+        raise
     except (ValueError, SchurRingError) as e:
-        print(f"validation failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return None, EXIT_VALIDATION
+        raise _InvalidDocument(f"{type(e).__name__}: {e}") from None
 
 
-def cmd_analyze(args) -> int:
-    A, code = _load_ring(args.file)
-    if A is None:
-        return code
+def cmd_analyze(args) -> dict:
+    A = _load_ring(args.file)
     K = is_cyclotomic(A)
-    report = {
+    return {
         "n": A.n,
         "rank": A.rank,
         "a_groups": list(A.a_groups),
@@ -167,19 +157,11 @@ def cmd_analyze(args) -> int:
         "cyclotomic": list(K.elements) if K else None,
         "wreath_decompositions": [[s.u, s.l] for s in wreath_decompositions(A)],
     }
-    _emit(report, args.json)
-    return EXIT_OK
 
 
-def cmd_schurity(args) -> int:
-    A, code = _load_ring(args.file, searched=True)
-    if A is None:
-        return code
-    try:
-        v = is_schurian(A, args.budget)
-    except SearchBudgetExceeded:
-        print("error: search budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
+def cmd_schurity(args) -> dict:
+    A = _load_ring(args.file, searched=True)
+    v = is_schurian(A, args.budget)
     report = {
         "n": A.n,
         "schurian": v.schurian,
@@ -191,33 +173,24 @@ def cmd_schurity(args) -> int:
         orb, cls = v.witness_mismatch
         report["mismatch_orbit"] = list(orb)
         report["mismatch_class"] = list(A.classes[cls])
-    _emit(report, args.json)
-    return EXIT_OK
+    return report
 
 
-def cmd_enumerate(args) -> int:
-    try:
-        if args.census:
-            rep = catalog_mod.census(args.n, cap=args.cap, budget=args.budget)
-            report = {
-                "n": args.n,
-                "count": rep.total,
-                "schurian": rep.schurian_count,
-                "nonschurian": rep.total - rep.schurian_count,
-            }
-            if rep.first_nonschurian is not None:
-                report["first_nonschurian"] = ring_to_document(rep.first_nonschurian)
-        else:
-            cat = catalog_mod.enumerate_srings(args.n, cap=args.cap)
-            report = {"n": args.n, "count": cat.count_exact}
-    except (CapExceeded, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except SearchBudgetExceeded:
-        print("error: search budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
-    _emit(report, args.json)
-    return EXIT_OK
+def cmd_enumerate(args) -> dict:
+    if args.n < 1:
+        raise ValueError("n must be positive")
+    if not args.census:
+        return {"n": args.n, "count": catalog_mod.enumerate_srings(args.n, cap=args.cap).count_exact}
+    rep = catalog_mod.census(args.n, cap=args.cap, budget=args.budget)
+    report = {
+        "n": args.n,
+        "count": rep.total,
+        "schurian": rep.schurian_count,
+        "nonschurian": rep.total - rep.schurian_count,
+    }
+    if rep.first_nonschurian is not None:
+        report["first_nonschurian"] = ring_to_document(rep.first_nonschurian)
+    return report
 
 
 def _budget_arg(text: str) -> int:
@@ -275,10 +248,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
-    if args.command == "enumerate" and args.n < 1:
-        print("error: n must be positive", file=sys.stderr)
+    try:
+        report = args.func(args)
+    except SearchBudgetExceeded:
+        print("error: search budget exceeded", file=sys.stderr)
+        return EXIT_BUDGET
+    except _InvalidDocument as e:
+        print(f"validation failure: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (CapExceeded, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    return args.func(args)
+    _emit(report, args.json)
+    return EXIT_OK
 
 
 if __name__ == "__main__":
