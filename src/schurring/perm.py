@@ -297,14 +297,14 @@ def merge_orbits(labels: np.ndarray, perms: Iterable[Perm]) -> np.ndarray:
             lab = up
 
 
-def orbit_partition(labels: np.ndarray) -> list[tuple[int, ...]]:
-    """The blocks of a label vector whose labels are least points, each
-    sorted, in order of least point."""
-    lab = np.asarray(labels)
-    order = lab.argsort(kind="stable")
-    cuts = (np.flatnonzero(np.diff(lab[order])) + 1).tolist()
-    order = order.tolist()
-    return [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(order)])]
+def orbit_partition(labels) -> list[tuple[int, ...]]:
+    """The blocks of a label vector, the points sharing a label, each
+    ascending, in order of least point: one pass that groups the points by
+    label, with the labels in order of first appearance."""
+    blocks = {}
+    for x, a in enumerate(labels):
+        blocks.setdefault(a, []).append(x)
+    return [tuple(b) for b in blocks.values()]
 
 
 # -- generalized wreath product of permutation groups -------------------

@@ -49,6 +49,7 @@ from .errors import (
     NotInverseClosed,
     ZeroClassNotSingleton,
 )
+from .perm import orbit_partition
 
 # The product check sorts one block of (points x class size) colour cells at a
 # time.  `analyze` has no degree cap, and a 200,000-point rank-2 document would
@@ -74,10 +75,7 @@ class SRing:
     @functools.cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The basic sets, ascending, in order of their least element."""
-        classes = [[] for _ in range(self.rank)]
-        for x, c in enumerate(self.class_of):
-            classes[c].append(x)
-        return tuple(map(tuple, classes))
+        return tuple(orbit_partition(self.class_of))
 
     @functools.cached_property
     def a_groups(self) -> tuple[int, ...]:
