@@ -26,9 +26,7 @@ filter below drops them.  Each condition reads one factor only:
 
 - u is least for l iff A1 = A_U is U'/L-wreath for no A1-group U' with
   l | u' < u (`_smaller_u`): the A-groups of A inside U are A1's, and the
-  classes of A outside U are unions of L-cosets already.  W is closed
-  upward in u, so only the least candidate is tested: the A-group that L
-  and the classes of A1 that are not unions of L-cosets generate.
+  classes of A outside U are unions of L-cosets already.
 - l is largest for u iff A2 = A_{G/L} is M/K-wreath, M of order m, for no
   A2-group K with 1 < k | m (`_larger_l`): the A-groups of A above L are
   the preimages of A2's, and a class of A outside U is the preimage of a
@@ -46,8 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 from typing import Optional
 
 from .arith import classify, divisors, factorize
@@ -117,15 +113,8 @@ def _primes(m: int) -> tuple[int, ...]:
 def _smaller_u(A1: SRing, l: int) -> bool:
     """Whether A1 is U'/L-wreath, L of order l, for an A1-group U' with
     l | u' < n1: then a product glued with A1 as its U-side has a
-    decomposition (u', l) with a smaller u.  A1 is U'/L-wreath iff U'
-    holds every class that is not a union of L-cosets.  L and those
-    classes generate an A1-group, as any union of classes does, so it is
-    the least U' that can serve; it is proper iff its generators have a
-    common factor."""
-    n1, c = A1.n, A1.class_of
-    step = n1 // l  # generates L
-    unstable = set(compress(c, map(ne, c, c[step:] + c[:step])))
-    return math.gcd(step, *compress(range(n1), map(unstable.__contains__, c))) > 1
+    decomposition (u', l) with a smaller u."""
+    return any(_is_wreath(A1, u, l) for u in A1.a_groups[:-1] if u % l == 0)
 
 
 def _larger_l(A2: SRing, m: int) -> bool:
