@@ -38,7 +38,7 @@ class MultiplierGroup:
     def from_generators(cls, n: int, generators) -> "MultiplierGroup":
         if n < 1:
             raise ValueError(f"the modulus must be positive, got {n}")
-        gens = tuple(g % n for g in generators) if n > 1 else (1,)
+        gens = tuple(g % n for g in generators)
         for g in gens:
             if math.gcd(g, n) != 1:
                 raise ValueError(f"{g} is not a unit mod {n}")
@@ -86,8 +86,7 @@ def is_cyclotomic(A: SRing) -> Optional[MultiplierGroup]:
     """
     n = A.n
     c = np.array(A.class_of)
-    # the points 1..n (n is 0) in the class of 1; for n = 1 that is (1,)
-    X = (np.flatnonzero(c[np.arange(1, n + 1) % n] == c[1 % n]) + 1).tolist()
+    X = np.flatnonzero(c == c[1 % n]).tolist()
     if (
         all(math.gcd(x, n) == 1 for x in X)
         and all(len({x * Y[0] % n for x in X}) == len(Y) for Y in A.classes)

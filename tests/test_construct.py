@@ -95,7 +95,9 @@ def test_cyclotomic_classes_are_the_multiplier_orbits():
                     want.append(orb)
             A = cyclotomic(K)
             assert A.classes == tuple(want)
-            assert is_cyclotomic(A) is not None
+            # residues lie in range(n), so the multiplier group of Z_1 is {0}
+            assert is_cyclotomic(A) == K, (n, K.elements)
+        assert is_cyclotomic(cyclotomic(k_m(n))).elements == k_m(n).elements, n
 
 
 def test_rank2_examples():
