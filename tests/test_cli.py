@@ -154,7 +154,8 @@ EXIT_TABLE = [
     (["enumerate", "0"], EXIT_INPUT, "error: n must be positive"),
     (["schurity", "{d}/r513.json"], EXIT_INPUT, "error: n=513 exceeds the search degree cap 512"),
     (["witness", "8", "75"], EXIT_INPUT, "error: n=600 exceeds the search degree cap 512"),
-    (["enumerate", "600", "--census", "--cap", "1000"], EXIT_INPUT, "error: n=600 exceeds the search degree cap 512"),
+    (["enumerate", "600", "--census", "--cap", "1000"], EXIT_INPUT,
+     "error: n=600 exceeds the search degree cap 512"),
     (["analyze", "{d}/not-inverse-closed.json"], EXIT_VALIDATION,
      "validation failure: NotInverseClosed: negation of class (2, 3) is not a class"),
     (["schurity", "{d}/string-n.json"], EXIT_VALIDATION,
@@ -165,7 +166,9 @@ EXIT_TABLE = [
 
 
 @pytest.mark.parametrize(
-    "argv, want_code, want_err", EXIT_TABLE, ids=[" ".join(argv).replace("{d}/", "") for argv, _, _ in EXIT_TABLE]
+    "argv, want_code, want_err",
+    EXIT_TABLE,
+    ids=[" ".join(argv).replace("{d}/", "") for argv, _, _ in EXIT_TABLE],
 )
 def test_exit_code_table(capsys, tmp_path, monkeypatch, argv, want_code, want_err):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
