@@ -64,7 +64,7 @@ class PermGroup:
             return
         dtype = np.min_scalar_type(max(self.degree - 1, 0))
         levels: list[_Level] = []
-        _schreier_sims(levels, self.generators, self.degree, dtype)
+        _schreier_sims(levels, self.generators, dtype)
         self._chain = levels
 
     def order(self) -> int:
@@ -135,10 +135,8 @@ class _Level:
             maps_inv = np.concatenate([np.array(self.ginv), self.uinv[1:]])
 
 
-def _schreier_sims(levels: list[_Level], gens: Iterable, nbase: int,
-                   dtype) -> list[np.ndarray]:
-    """Extend the chain `levels` by `gens`, by incremental Schreier-Sims
-    with base points among the first `nbase` points.
+def _schreier_sims(levels: list[_Level], gens: Iterable, dtype) -> None:
+    """Extend the chain `levels` by `gens`, by incremental Schreier-Sims.
 
     Each generator that does not sift through the chain so far joins it
     as a residue.  When the scan is at level i, the levels below i are a
@@ -150,50 +148,36 @@ def _schreier_sims(levels: list[_Level], gens: Iterable, nbase: int,
     representatives only grow, so a (orbit point, generator) pair that
     sifted once is never sifted again.
 
-    A residue that fixes the first nbase points sifts, so the levels are
-    a chain of the group's action on those points, and a new level is
-    based at one of them.  The residues that fix them but move a later
-    point are returned; their normal closure is the pointwise stabilizer
-    of those points (Schreier's lemma).  With nbase the degree, none is.
+    `levels` may hold trivial levels built in advance: a prescribed base
+    prefix.  New levels only ever follow the last one, so the prefix
+    stays the first base points, in order.
     """
-    kernel: list[np.ndarray] = []
     for g in gens:
-        rest, hit = _sift(levels, 0, np.array([g], dtype), nbase)
-        kernel.extend(_moving(rest, nbase))
+        hit = _sift(levels, 0, np.array([g], dtype), len(g))[1]
         if hit is None:
             continue
         i = _add_residue(levels, hit, -1)
         while i >= 0:
-            hit = _schreier_residue(levels, i, nbase, kernel)
+            hit = _schreier_residue(levels, i)
             i = i - 1 if hit is None else _add_residue(levels, hit, i)
-    return kernel
 
 
-def _schreier_residue(levels: list[_Level], i: int, nbase: int,
-                      kernel: list[np.ndarray]):
+def _schreier_residue(levels: list[_Level], i: int):
     """Sift level i's unchecked Schreier generators u_x * s * u_{s(x)}^-1
     through the levels below it, one strong generator s (all orbit
     points x at once) at a time; return the first that does not sift,
-    as `_sift` does, or None.  Residues that sift but move a point join
-    `kernel`."""
+    as `_sift` does, or None."""
     lvl = levels[i]
     for k, s in enumerate(lvl.gens):
         done = lvl.checked[k]
         if done == len(lvl.orbit):
             continue
         batch = _apply_uinv(lvl.uinv, lvl.pos[s[lvl.orbit[done:]]], s[lvl.u[done:]])
-        rest, hit = _sift(levels, i + 1, batch, nbase)
-        kernel.extend(_moving(rest, nbase))
+        hit = _sift(levels, i + 1, batch, len(s))[1]
         lvl.checked[k] = len(lvl.orbit) if hit is None else done + hit[0] + 1
         if hit is not None:
             return hit
     return None
-
-
-def _moving(rest: np.ndarray, nbase: int) -> np.ndarray:
-    """The rows of `rest`, which fix the first `nbase` points, that move
-    a later one."""
-    return rest[(rest[:, nbase:] != np.arange(nbase, rest.shape[1])).any(axis=1)]
 
 
 def _apply_uinv(uinv: np.ndarray, rows: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -319,13 +303,16 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     common section U/L (identified with Z_{u/l}); U_right and
     (G/L)_right must be contained in the respective inputs.
 
-    delta1 acts on U/L + U, and its chain with base points in U/L is a
-    chain of its section image.  The section maps of delta0 sift through
-    it as one batch; the U part of each residue is the inverse of a
-    preimage.  The images are compared by order, never listed.  The
-    emitted generators are (i) one lift per generator of delta0, whose
-    per-coset components are those preimages, and (ii) the kernel of
-    delta1's section map acting on the block U alone.
+    delta1 acts on U/L + U, and one Schreier-Sims pass builds its chain
+    from a base that starts with every point of U/L, in order.  The first
+    u/l levels are then a chain of its section image, and the next level,
+    the first based in U, has strong generators that generate the kernel
+    of the section map.  The section maps of delta0 sift through the
+    first u/l levels as one batch; the U part of each residue is the
+    inverse of a preimage.  The images are compared by order, never
+    listed.  The emitted generators are (i) one lift per generator of
+    delta0, whose per-coset components are those preimages, and (ii) the
+    kernel's generators acting on the block U alone.
     """
     if min(l, u) < 1 or u % l or n % u:
         raise ValueError("need l | u | n")
@@ -349,17 +336,10 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
             f"respect blocks of size {l}"
         )
     dtype = np.min_scalar_type(ul + u - 1)
-    levels: list[_Level] = []
-    kernel = _schreier_sims(levels, np.hstack([sections, ul + g1]), ul, dtype)
-    m = len(levels)
-    order1 = math.prod(len(lvl.orbit) for lvl in levels)
-    # the kernel is the normal closure of the returned residues: fed back
-    # with every point a base point, they join the section levels, whose
-    # Schreier generators then sift their conjugates too, and level m,
-    # the first past the section levels, generates the kernel; the levels
-    # are then a chain of delta1 on U/L + U, which must hold x -> x + 1
-    _schreier_sims(levels, kernel, ul + u, dtype)
-    kernel = levels[m].gens if len(levels) > m else []
+    levels = [_Level(z, ul + u, dtype) for z in range(ul)]
+    _schreier_sims(levels, np.hstack([sections, ul + g1]), dtype)
+    order1 = math.prod(len(lvl.orbit) for lvl in levels[:ul])
+    kernel = levels[ul].gens if len(levels) > ul else []
     shift = np.concatenate([np.arange(1, ul + 1) % ul, ul + np.arange(1, u + 1) % u])
     if _sift(levels, 0, shift[None].astype(dtype), ul + u)[1] is not None:
         raise ValueError("delta1 must contain the translations of Z_u")
@@ -377,7 +357,7 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     if (np.sort(ts, axis=1) != np.arange(ul)).any():
         raise SectionActionMismatch("induced section map is not a bijection")
     order0 = PermGroup(ul, ts.tolist()).order()
-    rest, hit = _sift(levels[:m], 0, np.hstack(
+    rest, hit = _sift(levels[:ul], 0, np.hstack(
         [ts, np.tile(np.arange(ul, ul + u), (len(ts), 1))]).astype(dtype), ul)
     if hit is not None or order0 != order1:
         raise SectionActionMismatch(

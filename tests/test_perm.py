@@ -24,6 +24,7 @@ from schurring.perm import (
     merge_orbits,
     orbit_partition,
     _add_residue,
+    _Level,
     _schreier_sims,
     _sift,
     perm_gen_wreath,
@@ -230,17 +231,21 @@ def test_order_and_membership_of_mathieu_groups():
     assert M12_GENS[2] not in PermGroup(12, M12_GENS[:2])
 
 
-def chain_of(n, gens):
-    levels = []
-    _schreier_sims(levels, gens, n, np.min_scalar_type(max(n - 1, 0)))
+def chain_of(n, gens, prefix=()):
+    """The chain of gens, built on trivial levels at the base points
+    `prefix` given in advance."""
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    levels = [_Level(z, n, dtype) for z in prefix]
+    _schreier_sims(levels, gens, dtype)
     return levels
 
 
-def check_chain(levels, n):
-    """The invariants of every level: representatives map the base point
-    onto their orbit point, their inverses invert them, `pos` numbers the
-    orbit, the orbit is closed under the level's generators, each stored
-    with its inverse, and those generators fix every earlier base point."""
+def check_levels(levels, n):
+    """The invariants of every level, trivial ones included:
+    representatives map the base point onto their orbit point, their
+    inverses invert them, `pos` numbers the orbit, the orbit is closed
+    under the level's generators, each stored with its inverse, and those
+    generators fix every earlier base point."""
     ident = np.arange(n)
     for i, lvl in enumerate(levels):
         size = len(lvl.orbit)
@@ -251,11 +256,18 @@ def check_chain(levels, n):
         assert (lvl.u[0] == ident).all()
         assert (lvl.pos[lvl.orbit] == np.arange(size)).all()
         assert (lvl.pos >= 0).sum() == size
-        assert len(lvl.gens) == len(lvl.ginv) == len(lvl.checked) > 0
+        assert len(lvl.gens) == len(lvl.ginv) == len(lvl.checked)
         for g, ginv in zip(lvl.gens, lvl.ginv):
             assert (ginv[g] == ident).all()
             assert (lvl.pos[g[lvl.orbit]] >= 0).all()
             assert all(g[above.point] == above.point for above in levels[:i])
+
+
+def check_chain(levels, n):
+    """`check_levels`, and every level has a strong generator: a chain
+    built without a prefix has no trivial level."""
+    check_levels(levels, n)
+    assert all(lvl.gens for lvl in levels)
 
 
 def long_cycles(n, lengths, rng):
@@ -270,8 +282,8 @@ def long_cycles(n, lengths, rng):
     return tuple(p)
 
 
-def test_chain_invariants_on_random_groups_and_long_cycles():
-    rng = random.Random(13)
+def chain_cases(rng):
+    """Random groups, long cycles and dihedral groups, as (n, gens)."""
     cases = [(n, [random_perm(rng, n) for _ in range(rng.randint(1, 4))])
              for n in (rng.randint(2, 12) for _ in range(60))]
     for n in (2, 3, 64, 97, 255, 300):
@@ -280,16 +292,38 @@ def test_chain_invariants_on_random_groups_and_long_cycles():
     for lengths in ((4, 9, 25), (7, 8, 9, 11), (3, 4, 5, 7, 11, 13, 16, 17, 19, 23, 29, 31, 37, 41)):
         n = sum(lengths) + rng.randint(0, 20)
         cases.append((n, [long_cycles(n, lengths, rng)]))
-    for n, gens in cases:
+    return cases
+
+
+def chain_order(levels):
+    return math.prod(len(lvl.orbit) for lvl in levels)
+
+
+def test_chain_invariants_on_random_groups_and_long_cycles():
+    for n, gens in chain_cases(random.Random(13)):
         levels = chain_of(n, gens)
         check_chain(levels, n)
-        order = math.prod(len(lvl.orbit) for lvl in levels)
+        order = chain_order(levels)
         if len(gens) == 1:
             # a cyclic group: the order is the lcm of the cycle lengths
             lengths = map(len, orbits_of_perms(n, gens))
             assert order == math.lcm(*lengths)
         elif order <= 5000:
             assert order == len(closure(n, gens))
+
+
+def test_chain_on_a_prescribed_base_prefix():
+    # levels built in advance at any points stay the first base points, in
+    # order, and the chain built on them is a chain of the same group; a
+    # prefix level whose point the group fixes stays trivial
+    rng = random.Random(19)
+    for n, gens in chain_cases(random.Random(13)):
+        prefix = rng.sample(range(n), rng.randint(1, min(n, 10)))
+        levels = chain_of(n, gens, prefix)
+        assert [lvl.point for lvl in levels[:len(prefix)]] == prefix
+        assert chain_order(levels) == chain_order(chain_of(n, gens))
+        check_levels(levels, n)
+        assert all(lvl.gens for lvl in levels[len(prefix):])
 
 
 def test_sift_leaves_its_batch_unchanged():
@@ -464,23 +498,30 @@ def test_perm_gen_wreath_kernel_and_image_make_delta1():
     # delta1 on U = Z_u permutes the residues mod u/l; delta0 on G/L =
     # Z_{2u/l} moves the two U-cosets and induces delta1's section image on
     # each, so the wreath product is delta0 with the kernel on both cosets
-    rng = random.Random(11)
+    # generators: as drawn; with a swap inside one L-coset, a kernel element,
+    # first, so that the first level it makes is based at a point of U; and
+    # shuffled
+    rng, reorder = random.Random(11), random.Random(12)
     for _ in range(40):
         ul, l = rng.choice([(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (5, 2)])
         u, nl = ul * l, 2 * ul
-        delta1 = PermGroup(u, [tuple((x + 1) % u for x in range(u))]
-                           + [random_block_perm(rng, u, ul) for _ in range(rng.randint(1, 3))])
-        sections = [tuple(g[z] % ul for z in range(ul)) for g in delta1.generators]
-        image = PermGroup(ul, sections)
-        delta0 = PermGroup(nl, [tuple((x + 1) % nl for x in range(nl))] + [
-            tuple(2 * t[x // 2] if x % 2 == 0 else x for x in range(nl)) for t in sections
-        ])
-        G = perm_gen_wreath(delta1, delta0, 2 * u, u, l)
-        # the kernel generators act on U (the even points) alone and fix
-        # every coset of L
-        kernel = [k for k in (tuple(g[2 * a] // 2 for a in range(u)) for g in G.generators
-                              if all(g[x] == x for x in range(1, 2 * u, 2)))
-                  if all((k[a] - a) % ul == 0 for a in range(u))]
-        assert all(k in delta1 for k in kernel)
-        assert image.order() * PermGroup(u, kernel).order() == delta1.order()
-        assert G.order() == delta0.order() * (delta1.order() // image.order()) ** 2
+        drawn = [tuple((x + 1) % u for x in range(u))] + [
+            random_block_perm(rng, u, ul) for _ in range(rng.randint(1, 3))]
+        x0 = reorder.randrange(u)
+        swap = from_cycles(u, (x0 + 1, (x0 + ul) % u + 1))
+        for gens in (drawn, [swap] + drawn, reorder.sample(drawn, len(drawn))):
+            delta1 = PermGroup(u, gens)
+            sections = [tuple(g[z] % ul for z in range(ul)) for g in delta1.generators]
+            image = PermGroup(ul, sections)
+            delta0 = PermGroup(nl, [tuple((x + 1) % nl for x in range(nl))] + [
+                tuple(2 * t[x // 2] if x % 2 == 0 else x for x in range(nl)) for t in sections
+            ])
+            G = perm_gen_wreath(delta1, delta0, 2 * u, u, l)
+            # the kernel generators act on U (the even points) alone and fix
+            # every coset of L
+            kernel = [k for k in (tuple(g[2 * a] // 2 for a in range(u)) for g in G.generators
+                                  if all(g[x] == x for x in range(1, 2 * u, 2)))
+                      if all((k[a] - a) % ul == 0 for a in range(u))]
+            assert all(k in delta1 for k in kernel)
+            assert image.order() * PermGroup(u, kernel).order() == delta1.order()
+            assert G.order() == delta0.order() * (delta1.order() // image.order()) ** 2
