@@ -315,7 +315,8 @@ def test_chain_invariants_on_random_groups_and_long_cycles():
 def test_chain_on_a_prescribed_base_prefix():
     # levels built in advance at any points stay the first base points, in
     # order, and the chain built on them is a chain of the same group; a
-    # prefix level whose point the group fixes stays trivial
+    # prefix level may stay trivial, so only the levels past the prefix
+    # need a strong generator
     rng = random.Random(19)
     for n, gens in chain_cases(random.Random(13)):
         prefix = rng.sample(range(n), rng.randint(1, min(n, 10)))
@@ -498,9 +499,9 @@ def test_perm_gen_wreath_kernel_and_image_make_delta1():
     # delta1 on U = Z_u permutes the residues mod u/l; delta0 on G/L =
     # Z_{2u/l} moves the two U-cosets and induces delta1's section image on
     # each, so the wreath product is delta0 with the kernel on both cosets
-    # generators: as drawn; with a swap inside one L-coset, a kernel element,
-    # first, so that the first level it makes is based at a point of U; and
-    # shuffled
+    # each group runs with its generators as drawn; with a kernel element, a
+    # swap inside one L-coset, first, so that the first level it starts is
+    # based in U; and shuffled
     rng, reorder = random.Random(11), random.Random(12)
     for _ in range(40):
         ul, l = rng.choice([(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (5, 2)])
