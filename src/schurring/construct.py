@@ -166,13 +166,17 @@ class WitnessConstruction:
     a34: SRing
 
 
-def _split_factor(n: int, odd_only: bool = False) -> Optional[tuple[int, int]]:
-    """Smallest divisor a >= 3 of n with n/a >= 3 (both odd if odd_only)."""
-    for a in divisors(n):
-        b = n // a
-        if a >= 3 and b >= 3 and (not odd_only or (a % 2 and b % 2)):
-            return a, b
-    return None
+def _split_factor(n: int, odd_only: bool = False) -> tuple[int, int]:
+    """Smallest divisor a >= 3 of n with n/a >= 3 (both odd if odd_only).
+
+    A pair exists for every n that `witness_detailed` splits.  An odd n
+    with omega_star(n) >= 2 is p*m with p an odd prime and m >= 3 odd,
+    which also serves odd_only.  An even n != 8 with omega_star(n) >= 2
+    has at least three prime factors: it is p*m with p an odd prime and
+    m >= 4, or 2^k = 4 * 2^(k-2) with k >= 4.
+    """
+    return next((a, n // a) for a in divisors(n)
+                if a >= 3 and n // a >= 3 and (not odd_only or (a % 2 and n // a % 2)))
 
 
 def witness_detailed(n1: int, n2: int) -> WitnessConstruction:
@@ -195,19 +199,12 @@ def witness_detailed(n1: int, n2: int) -> WitnessConstruction:
         swapped = True
     if n1 == 8:
         a = b = 4
-        cd = _split_factor(n2, odd_only=True)
-        if cd is None:
-            raise ValueError(f"cannot factor {n2} = c*d with odd c, d >= 3")
-        c, d = cd
+        c, d = _split_factor(n2, odd_only=True)
         glue12, glue34, top = 2 * c, 2 * d, 8
         branch = "special"
     else:
-        ab = _split_factor(n1)
-        cd = _split_factor(n2)
-        if ab is None or cd is None:
-            raise ValueError(f"cannot factor {n1} or {n2} into parts >= 3")
-        a, b = ab
-        c, d = cd
+        a, b = _split_factor(n1)
+        c, d = _split_factor(n2)
         glue12, glue34, top = c, d, n1
         branch = "generic"
 

@@ -353,9 +353,10 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     x0p = y[:, :1] % nu
     if (y % nu != x0p).any():
         raise SectionActionMismatch("delta0 does not respect the U-coset blocks")
+    # every row of ts is a bijection of U/L: each generator is a
+    # permutation (PermGroup checks), and by the block check above it maps
+    # the block x0 into the block x0p, so onto it, injectively
     ts = ((y - x0p) % nl // nu).transpose(0, 2, 1).reshape(-1, ul)
-    if (np.sort(ts, axis=1) != np.arange(ul)).any():
-        raise SectionActionMismatch("induced section map is not a bijection")
     order0 = PermGroup(ul, ts.tolist()).order()
     rest, hit = _sift(levels[:ul], 0, np.hstack(
         [ts, np.tile(np.arange(ul, ul + u), (len(ts), 1))]).astype(dtype), ul)

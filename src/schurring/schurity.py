@@ -122,7 +122,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from .perm import PermGroup, merge_orbits, orbit_partition, translations
-from .sring import SRing, _is_wreath, quotient, restrict, restrict_section, sections, tensor_split
+from .sring import SRing, _is_wreath, quotient, restrict, tensor_split
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
@@ -250,10 +250,10 @@ def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
 
 
 def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
-    """The automorphism search of the module docstring, on any ring."""
+    """The automorphism search of the module docstring, on any ring of at
+    most `MAX_SEARCH_DEGREE` points: `_aut_data` checks the degree first."""
     budget = DEFAULT_BUDGET if budget is None else budget
     n = A.n
-    check_search_degree(n)
     C = np.asarray(A.class_of, dtype=np.int16)
     idx = np.arange(n)
     M = C[(idx[None, :] - idx[:, None]) % n]  # M[x, y] = color(x, y)
@@ -392,10 +392,16 @@ def is_normal_sring(A: SRing, budget: Optional[int] = None) -> bool:
 
 
 def minimal_nonschurian_check(A: SRing, budget: Optional[int] = None) -> bool:
-    """True iff A is non-schurian but every proper section ring is schurian."""
+    """True iff A is non-schurian but every proper section ring is schurian.
+
+    Every section of a schurian S-ring is schurian (Evdokimov-Ponomarenko),
+    and a proper section U/L is a section of A_U when u < n and of A_{G/L}
+    when l > 1.  So the restrictions to the proper A-groups and the
+    quotients by the nontrivial ones decide: 2(k - 1) rings for an A-group
+    lattice of k orders, read off `A.a_groups`.
+    """
     if is_schurian(A, budget).schurian:
         raise NotNonSchurian("ring is schurian; minimality is undefined")
-    for s in sections(A, proper_only=True):
-        if not is_schurian(restrict_section(A, s), budget).schurian:
-            return False
-    return True
+    ags = A.a_groups
+    return all(is_schurian(restrict(A, u), budget).schurian for u in ags[:-1]) and all(
+        is_schurian(quotient(A, l), budget).schurian for l in ags[1:])

@@ -211,16 +211,10 @@ def restrict_section(A: SRing, s: Section) -> SRing:
     return quotient(restrict(A, s.u), s.l)
 
 
-def sections(A: SRing, proper_only: bool = False) -> list[Section]:
-    """All A-sections (u, l); with proper_only, excludes (n, 1)."""
+def sections(A: SRing) -> list[Section]:
+    """All A-sections (u, l), (n, 1) included."""
     ags = A.a_groups
-    out = [
-        Section(u, l)
-        for u in ags
-        for l in ags
-        if u % l == 0 and not (proper_only and u == A.n and l == 1)
-    ]
-    return out
+    return [Section(u, l) for u in ags for l in ags if u % l == 0]
 
 
 def radical_of_class(A: SRing, i: int) -> int:

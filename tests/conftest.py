@@ -9,6 +9,8 @@ test by conjugation `is_normal_subgroup` (the reference for
 `is_normal_sring`), `orbits_of_perms`, and the subgroup and projection
 maps of Z_n, `subgroup_elements` and `project`, and `a_groups_by_scan`,
 one label scan per divisor, the reference for `SRing.a_groups`.
+`minimal_by_sections` decides every proper section ring, the reference
+for `minimal_nonschurian_check`.
 `full_join` is the closure with the unreduced wreath join, which glues
 every pair whose sections agree: the reference for `enumerate_srings`
 past the frozen digests and for its two join filters."""
@@ -24,7 +26,8 @@ from schurring.catalog import enumerate_srings, unit_subgroups
 from schurring.construct import _gen_wreath_labels, _tensor_labels, cyclotomic, rank2
 from schurring.errors import NotAnAGroup
 from schurring.perm import identity, merge_orbits, orbit_partition
-from schurring.sring import SRing, _first_seen, quotient, restrict
+from schurring.schurity import is_schurian
+from schurring.sring import SRing, _first_seen, quotient, restrict, restrict_section, sections
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +94,13 @@ def a_groups_by_scan(A):
         if sum(map(labels.__contains__, A.class_of)) == d:
             out.append(d)
     return out
+
+
+def minimal_by_sections(A, budget=None):
+    """Whether every proper section ring U/L of A, (u, l) != (n, 1), is
+    schurian: each one built and decided."""
+    return all(is_schurian(restrict_section(A, s), budget).schurian
+               for s in sections(A) if (s.u, s.l) != (A.n, 1))
 
 
 def mult(p, q):

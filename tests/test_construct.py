@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from schurring.arith import classify
+from schurring.arith import classify, omega_star
 from schurring.catalog import unit_subgroups
 from schurring.construct import (
     MultiplierGroup,
@@ -297,3 +297,13 @@ def test_witness_rejects_bad_inputs():
         witness(8, 12)  # not coprime
     with pytest.raises(ValueError):
         witness(4, 9)  # omega_star(4) = 1
+
+
+def test_witness_splits_every_admissible_pair():
+    # once coprimality and omega_star >= 2 hold, both parts factor as the
+    # branch needs, so no admissible pair is refused
+    pairs = [(n1, n2) for n1 in range(1, 64) for n2 in range(n1 + 1, 4000 // n1 + 1)
+             if math.gcd(n1, n2) == 1 and omega_star(n1) >= 2 and omega_star(n2) >= 2]
+    assert len(pairs) == 939
+    branches = {witness_detailed(n1, n2).branch for n1, n2 in pairs}
+    assert branches == {"generic", "special"}

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_color_automorphism, is_normal_subgroup, orbits_of_perms
+from conftest import is_color_automorphism, is_normal_subgroup, minimal_by_sections, orbits_of_perms
 from schurring.arith import classify
 from schurring.catalog import enumerate_srings
 from schurring.construct import MultiplierGroup, cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
@@ -23,7 +23,7 @@ from schurring.schurity import (
     is_schurian,
     minimal_nonschurian_check,
 )
-from schurring.sring import _is_wreath, group_ring, tensor_split, validate
+from schurring.sring import _is_wreath, group_ring, quotient, restrict, tensor_split, validate
 
 W4 = validate(4, [[0], [2], [1, 3]])
 
@@ -154,6 +154,27 @@ def test_minimal_nonschurian_check():
     assert minimal_nonschurian_check(witness(8, 9)) is True
     with pytest.raises(NotNonSchurian):
         minimal_nonschurian_check(group_ring(6))
+
+
+def test_minimal_nonschurian_check_matches_every_section(catalogs):
+    # the reference builds and decides every proper section ring; the check
+    # decides only the restrictions to the proper A-groups and the quotients
+    # by the nontrivial ones.  The rings are the non-schurian rings over Z_72
+    # (budget as in census(72)), the witnesses 72 <= n <= 300, and two
+    # wreath products of witness(8, 9) with rank2(2): one non-schurian on a
+    # quotient only, the other on a restriction only
+    rings = [A for A in catalogs[72].rings if not is_schurian(A, 10**5).schurian]
+    assert len(rings) == 16
+    splits = [s for s in (classify(n).nonschur_split for n in range(72, 301)) if s is not None]
+    rings += [witness(*s) for s in splits]
+    w = witness(8, 9)
+    on_top, below = gen_wreath(rank2(2), w, 1), gen_wreath(w, rank2(2), 1)
+    assert all(is_schurian(restrict(on_top, u)).schurian for u in on_top.a_groups[:-1])
+    assert all(is_schurian(quotient(below, l)).schurian for l in below.a_groups[1:])
+    rings += [on_top, below]
+    got = [minimal_nonschurian_check(A) for A in rings]
+    assert got == [minimal_by_sections(A) for A in rings]
+    assert [A.n for A, minimal in zip(rings, got) if not minimal] == [216, 288, 144, 144]
 
 
 def test_nonminimal_nonschurian_instance():

@@ -317,7 +317,7 @@ def test_restrict_quotient_functoriality():
 def test_sections_shape():
     ss = sections(W4)
     assert Section(4, 1) in ss and Section(2, 2) in ss
-    assert Section(4, 1) not in sections(W4, proper_only=True)
+    assert ss == [Section(u, l) for u in (1, 2, 4) for l in (1, 2, 4) if u % l == 0]
     for s in ss:
         assert s.u % s.l == 0 and s.order == s.u // s.l
 
