@@ -96,10 +96,10 @@ def a_groups_by_scan(A):
     return out
 
 
-def minimal_by_sections(A, budget=None):
+def minimal_by_sections(A):
     """Whether every proper section ring U/L of A, (u, l) != (n, 1), is
     schurian: each one built and decided."""
-    return all(is_schurian(restrict_section(A, s), budget).schurian
+    return all(is_schurian(restrict_section(A, s)).schurian
                for s in sections(A) if (s.u, s.l) != (A.n, 1))
 
 
