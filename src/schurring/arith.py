@@ -11,6 +11,7 @@ An order satisfies exactly one of the two; `classify` asserts this.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -261,9 +262,15 @@ def equivalence_violations(limit: int) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted list of positive divisors of n."""
+    """Sorted list of positive divisors of n, a new list on every call."""
+    return list(_divisors(n))
+
+
+@functools.lru_cache(maxsize=4096)
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n, factorizing n once per order the cache holds."""
     ds = [1]
     for p, k in factorize(n).factors:
         ds = [d * p**j for d in ds for j in range(k + 1)]
-    return sorted(ds)
+    return tuple(sorted(ds))
 

@@ -26,8 +26,10 @@ were an image of v for some such h, w would be one too.  The generators
 found form a strong generating set of the stabilizer relative to the
 base, which gives both the group order (product of the orbit sizes along
 the chain) and the stabilizer orbits: one label vector, the least point
-of each orbit, merged with `perm.merge_orbits` when a generator is added
-and listed as orbits only by `is_schurian`.
+of each orbit, merged with `perm.merge_orbits` when a generator is added.
+`is_schurian` counts its labels.  Each orbit lies in one class, so when
+there are as many orbits as classes the orbits are the classes, and only
+a non-schurian verdict lists the labels as orbits.
 
 Every frame of a DFS first reads off the map nearest the identity: a
 point that is one of its own cell's targets stays, and the other points
@@ -97,6 +99,14 @@ a = x/e mod d and b = x/d mod e:
 - the generators: each factor's stabilizer generators acting on their
   own coordinate alone.
 
+Deciding a ring computes its order and orbit labels only.  No verdict
+reads the generators, so each `_AutData` builds them on the first read
+of `stabilizer_gens` (`automorphism_group`, `is_normal_sring`), as
+`SRing` derives its classes: a search hands over the generators it
+found, and an assembly builds its own from its factors' generators,
+read then.  So a census builds none, and building them never searches
+and charges no nodes.
+
 The result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
 A search that runs out of budget raises and is not memoized, and a call
@@ -115,8 +125,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -133,7 +143,7 @@ AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 
 # one frame.  The largest witness has n = 300.  Raising the cap waits on a
 # size bound for `PermGroup`: its Schreier-Sims on Sym(60) still takes 6-7 s
 # on a 2-core Xeon, and `automorphism_group(rank2(n))` is Sym(n), which it
-# builds from two generators: `.order()` on rank2(40) takes about 0.5 s.
+# builds from two generators: `.order()` on rank2(40) takes 0.24-0.34 s.
 MAX_SEARCH_DEGREE = 512
 
 
@@ -158,9 +168,15 @@ class SchurityVerdict:
 
 @dataclass(frozen=True)
 class _AutData:
-    stabilizer_gens: tuple[tuple[int, ...], ...]
     order: int
     orbit: tuple[int, ...]  # orbit[x]: the least point of x's 0-stabilizer orbit
+    # builds the 0-stabilizer generators on the first read of
+    # `stabilizer_gens`: no verdict reads them, so a census builds none
+    _gens: Callable[[], tuple[tuple[int, ...], ...]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def stabilizer_gens(self) -> tuple[tuple[int, ...], ...]:
+        return self._gens()
 
 
 def _relabel(keys: np.ndarray) -> np.ndarray:
@@ -197,41 +213,63 @@ def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
 
 
 def _rank2(n: int) -> _AutData:
-    """The data of aut(A) = Sym(n) for the rank-2 ring over Z_n, n >= 2:
-    its 0-stabilizer Sym({1..n-1}) is generated by (1 2) and (1 2 ... n-1)."""
+    """The data of aut(A) = Sym(n) for the rank-2 ring over Z_n, n >= 2."""
+    return _AutData(math.factorial(n), (0,) + (1,) * (n - 1), functools.partial(_rank2_gens, n))
+
+
+def _rank2_gens(n: int) -> tuple[tuple[int, ...], ...]:
+    """(1 2) and (1 2 ... n-1), which generate Sym({1..n-1})."""
     gens = []
     if n > 2:
         gens.append((0, 2, 1) + tuple(range(3, n)))
     if n > 3:
         gens.append((0,) + tuple(range(2, n)) + (1,))
-    return _AutData(tuple(gens), math.factorial(n), (0,) + (1,) * (n - 1))
+    return tuple(gens)
 
 
 def _tensor(left: _AutData, right: _AutData, d: int, e: int) -> _AutData:
     """The data of aut(A) = aut(A_D) x aut(A_E) from `left`, the data of
     A_D, and `right`, that of A_E, where D and E have the coprime orders d
     and e: x = e*a + d*b is the point (a, b) of Z_d x Z_e."""
-    x = np.arange(d * e)
-    a = x * pow(e, -1, d) % d
-    b = x * pow(d, -1, e) % e
+    a, b = _crt(d, e)
     # the orbit of (a, b) is the product of their orbits, labelled by its least point
     key = np.asarray(left.orbit)[a] * e + np.asarray(right.orbit)[b]
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return _AutData(left.order * right.order, tuple(first[inv].tolist()),
+                    functools.partial(_tensor_gens, left, right, d, e))
+
+
+def _crt(d: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates (a, b) of every x = e*a + d*b in Z_d x Z_e."""
+    x = np.arange(d * e)
+    return x * pow(e, -1, d) % d, x * pow(d, -1, e) % e
+
+
+def _tensor_gens(left: _AutData, right: _AutData, d: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Each factor's stabilizer generators acting on its own coordinate alone."""
+    a, b = _crt(d, e)
     gens = [(e * np.asarray(g)[a] + d * b) % (d * e) for g in left.stabilizer_gens]
     gens += [(e * a + d * np.asarray(g)[b]) % (d * e) for g in right.stabilizer_gens]
-    return _AutData(tuple(tuple(g.tolist()) for g in gens), left.order * right.order,
-                    tuple(first[inv].tolist()))
+    return tuple(tuple(g.tolist()) for g in gens)
 
 
 def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
     """The data of aut(A) = aut(A_U) wr aut(A_{G/U}) from `inner`, the data
     of A_U, and `outer`, that of A_{G/U}, where U has order u and index m:
     U is the multiples of m and its cosets are the residues mod m."""
+    # outside U, the preimage of an orbit O of aut(A_{G/U})_0 starts at min O
+    lab = np.asarray(outer.orbit)[np.arange(u * m) % m]
+    lab[::m] = m * np.asarray(inner.orbit)
+    return _AutData(inner.order ** m * outer.order, tuple(lab.tolist()),
+                    functools.partial(_plain_wreath_gens, inner, outer, u, m))
+
+
+def _plain_wreath_gens(inner: _AutData, outer: _AutData, u: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """A_U's stabilizer generators on U; for the least coset c of every
+    non-zero orbit of A_{G/U}, the translation of Z_u and A_U's stabilizer
+    generators on c + mZ alone; A_{G/U}'s stabilizer generators lifted."""
     x = np.arange(u * m)
     res = x % m
-    # outside U, the preimage of an orbit O of aut(A_{G/U})_0 starts at min O
-    lab = np.asarray(outer.orbit)[res]
-    lab[::m] = m * np.asarray(inner.orbit)
 
     def on_coset(c, g):
         """g, a permutation of Z_u, acting on the coset c + mZ alone."""
@@ -245,8 +283,7 @@ def _plain_wreath(inner: _AutData, outer: _AutData, u: int, m: int) -> _AutData:
         if outer.orbit[c] == c:
             gens += [on_coset(c, g) for g in (shift, *inner.stabilizer_gens)]
     gens += [np.asarray(g, dtype=np.intp)[res] + x - res for g in outer.stabilizer_gens]
-    return _AutData(tuple(tuple(g.tolist()) for g in gens), inner.order ** m * outer.order,
-                    tuple(lab.tolist()))
+    return tuple(tuple(g.tolist()) for g in gens)
 
 
 def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
@@ -342,7 +379,7 @@ def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
             orb = merge_orbits(orb, (f,))
             todo = todo[orb[todo] != orb[v]]
         order *= int(np.count_nonzero(orb == orb[v]))
-    return _AutData(tuple(gens), order, tuple(orb.tolist()))
+    return _AutData(order, tuple(orb.tolist()), functools.partial(tuple, gens))
 
 
 def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:
@@ -366,16 +403,13 @@ def is_schurian(A: SRing, budget: Optional[int] = None) -> SchurityVerdict:
     witness is the first orbit properly contained in its class.
     """
     data = _aut_data(A, budget)
+    if len(set(data.orbit)) == A.rank:
+        # one orbit per class, each inside its class: the orbits are the classes
+        return SchurityVerdict(True, data.order, A.classes, None)
     orbits = tuple(orbit_partition(data.orbit))
-    schurian = len(orbits) == A.rank
-    mismatch = None
-    if not schurian:
-        for orb in orbits:
-            cls = A.class_of[orb[0]]
-            if len(orb) < len(A.classes[cls]):
-                mismatch = (orb, cls)
-                break
-    return SchurityVerdict(schurian, data.order, orbits, mismatch)
+    mismatch = next((orb, A.class_of[orb[0]]) for orb in orbits
+                    if len(orb) < len(A.classes[A.class_of[orb[0]]]))
+    return SchurityVerdict(False, data.order, orbits, mismatch)
 
 
 def is_normal_sring(A: SRing, budget: Optional[int] = None) -> bool:

@@ -150,6 +150,21 @@ def test_divisors():
     assert divisors(72) == [1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72]
 
 
+def test_divisors_match_their_definition():
+    for n in range(1, 501):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_divisors_returns_a_new_list():
+    # the divisors of each order are cached; a caller's list is its own
+    ds = divisors(36)
+    ds[0] = 0
+    del ds[2:]
+    ds.append(5)
+    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    assert divisors(36) is not divisors(36)
+
+
 def test_subgroup_elements_examples():
     assert subgroup_elements(12, 3) == [0, 4, 8]
     assert subgroup_elements(12, 12) == list(range(12))

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import is_color_automorphism, is_normal_subgroup, minimal_by_sections, orbits_of_perms
 from schurring.arith import classify
-from schurring.catalog import enumerate_srings
+from schurring.catalog import census, enumerate_srings
 from schurring.construct import MultiplierGroup, cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from schurring.perm import orbit_partition, translations
@@ -77,6 +77,36 @@ def test_stabilizer_chain_is_checked_independently():
         assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == tuple(orbit_partition(data.orbit))
         # every point is labelled by the least point of its orbit
         assert all(data.orbit[data.orbit[x]] == data.orbit[x] <= x for x in range(A.n))
+
+
+def test_census_builds_no_generators():
+    # no verdict reads the 0-stabilizer generators, so deciding a census
+    # builds none, not even for the rings assembled from their factors.  No
+    # other test passes this budget, so every memo entry read here is this
+    # test's own; it is about 20x the most nodes a ring here needs (948)
+    budget = 2 * 10**4
+    entries = [e for n in range(1, 37) for e in census(n, budget=budget).entries]
+    assert len(entries) == 1275
+    data = [_aut_data(e.ring, budget) for e in entries]
+    assert not [e.ring for e, d in zip(entries, data) if "stabilizer_gens" in d.__dict__]
+    # read on demand, they generate the stabilizer the verdict describes
+    for e, d in zip(entries, data):
+        A = e.ring
+        for g in d.stabilizer_gens:
+            assert g[0] == 0 and _preserves_colors(A, g), A.classes
+        assert tuple(orbits_of_perms(A.n, d.stabilizer_gens)) == e.verdict.stabilizer_orbits, A.classes
+
+
+def test_schurian_orbits_are_the_classes(catalogs):
+    # a schurian verdict takes its stabilizer orbits from A.classes instead
+    # of listing the search's orbit labels; pinned against that listing on
+    # the catalogs n <= 36 and the 14 witness rings 72 <= n <= 300
+    witnesses = [witness(*classify(n).nonschur_split) for n in range(72, 301)
+                 if classify(n).nonschur_split]
+    for A in [A for n in range(1, 37) for A in catalogs[n].rings] + witnesses:
+        v = is_schurian(A)
+        assert v.stabilizer_orbits == tuple(orbit_partition(_aut_data(A).orbit)), A.classes
+        assert (v.stabilizer_orbits == A.classes) == v.schurian, A.classes
 
 
 def test_every_witness_to_512_is_nonschurian():
