@@ -231,56 +231,37 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
 def _inverse_closed_partitions(n: int):
     """Yield the negation-closed partitions of {1..n-1}, as class lists.
 
-    Elements are assigned in increasing order; once x > n/2 both x and
-    n - x are placed, so the negation-consistency of a class can be
-    enforced as soon as it could fail.
+    Points get their class in increasing order, classes numbered by their
+    least point.  `neg` maps a class onto the class that negation maps it
+    onto: once the later of x and -x is placed (n - x <= x), the pair of
+    their classes is recorded both ways, and a pair that contradicts one
+    already recorded ends the branch.  At a leaf negation maps every point
+    of a class C into neg[C] and back, so -C = neg[C]: every partition
+    yielded is negation-closed, and each one is yielded once.
     """
-    if n == 1:
-        yield []
-        return
-    class_of = {}
+    label = [0] * n
+    neg: dict[int, int] = {}
 
-    def consistent(x, cls_members):
-        # x joins the class of cls_members; negations of settled members
-        # must all lie in one class, the one containing n - x
-        nx = (n - x) % n
-        if nx not in class_of:
-            return True
-        target = class_of[nx]
-        for y in cls_members:
-            ny = (n - y) % n
-            if ny in class_of and class_of[ny] != target:
-                return False
-        return True
-
-    classes: list[list[int]] = []
-
-    def rec(x):
+    def rec(x, k):
         if x == n:
-            # final check: the negation of every class is a class
-            reps = {}
-            for i, c in enumerate(classes):
-                reps[frozenset(c)] = i
-            for c in classes:
-                if frozenset((n - y) % n for y in c) not in reps:
-                    return
-            yield [list(c) for c in classes]
+            classes = [[] for _ in range(k)]
+            for y in range(1, n):
+                classes[label[y]].append(y)
+            yield classes
             return
-        for i, c in enumerate(classes):
-            if x > n - x and not consistent(x, c):
-                continue
-            c.append(x)
-            class_of[x] = i
-            yield from rec(x + 1)
-            del class_of[x]
-            c.pop()
-        classes.append([x])
-        class_of[x] = len(classes) - 1
-        yield from rec(x + 1)
-        del class_of[x]
-        classes.pop()
+        for c in range(k + 1):
+            label[x] = c
+            d = label[n - x]  # the class of -x, read once -x is placed
+            if n - x > x:
+                yield from rec(x + 1, max(k, c + 1))
+            elif neg.get(c, d) == d and neg.get(d, c) == c:
+                new = [e for e in {c, d} if e not in neg]
+                neg[c], neg[d] = d, c
+                yield from rec(x + 1, max(k, c + 1))
+                for e in new:
+                    del neg[e]
 
-    yield from rec(1)
+    yield from rec(1, 0)
 
 
 def brute_force_enumerate(n: int) -> Catalog:

@@ -247,8 +247,6 @@ def _add_residue(levels: list[_Level], hit, i: int) -> int:
 
 def translations(n: int) -> PermGroup:
     """The regular cyclic group generated by x -> x + 1 mod n."""
-    if n == 1:
-        return PermGroup(1, [])
     return PermGroup(n, [tuple((x + 1) % n for x in range(n))])
 
 

@@ -22,11 +22,14 @@ is an S-ring by theorem is not checked again: `restrict` and `quotient`
 (a section of an S-ring by A-groups is an S-ring) and the builders in
 `construct` hand a label for every point straight to `_from_labels`.
 
-`validate` checks the product axiom one class X at a time.  Colour each
-point by its class: colour j occurs #{x in X : z - x in Y_j} times in the
-multiset z - X, the coefficient of z in X * Y_j.  So X * Y is constant on
-every class for all Y iff the sorted colours of z - X depend only on the
-class of z: one stable Weisfeiler-Leman round on the Cayley colour matrix.
+`validate` checks the product axiom with one table of structure
+constants.  The row of a point p is the sorted keys (class of x, class of
+p - x) over every x in Z_n.  Key (i, j) occurs #{x in X_i : p - x in X_j}
+times, the coefficient of p in X_i * X_j.  So every product X_i * X_j is
+constant on every class iff each point's row equals the row of its
+class's least point.  The rows are read, a block of points at a time,
+through a strided view of the labels written twice, so no table of
+indices is built.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import ne
 
 import numpy as np
@@ -51,10 +54,10 @@ from .errors import (
 )
 from .perm import orbit_partition
 
-# The product check sorts one block of (points x class size) colour cells at a
+# The product check sorts one block of rows of n structure-constant keys at a
 # time.  `analyze` has no degree cap, and a 200,000-point rank-2 document would
-# otherwise ask for n^2 = 4 * 10^10 cells for its big class; 2^20 cells keep
-# each int64 array of a block at 8 MiB.
+# otherwise ask for n^2 = 4 * 10^10 cells; 2^20 cells keep each array of a
+# block at 8 MiB or less.
 VALIDATE_BLOCK_CELLS = 2**20
 
 
@@ -108,13 +111,14 @@ def validate(n: int, classes) -> SRing:
     Raises NotAPartition, ZeroClassNotSingleton, NotInverseClosed or
     NotClosedUnderProduct (with the offending data) when an axiom fails.
 
-    Both closure axioms test that a per-point array is constant on every
-    class.  Negation: the colour of -z.  Constant on every class, it puts
-    -X inside one class Y and -Y inside X, so the sizes match and -X = Y.
-    Product: for each class X, the sorted colours of z - X (see the module
-    docstring); on failure, Y is the first colour whose counts differ and
-    z1 is the first point of the class.  This takes O(n^2 log n) time, in
-    blocks of at most VALIDATE_BLOCK_CELLS cells.
+    Both closure axioms compare each point z with its representative
+    rep[z], the least point of its class.  Negation: the class of -z must
+    be that of -rep[z].  Then -X lies inside one class Y and -Y inside X,
+    so the sizes match and -X = Y.  Product: the rows of the structure
+    constants must match (see the module docstring); on failure, (X, Y)
+    is a pair of classes whose product counts differ at z1 = rep[z2] and
+    z2.  This takes O(n^2 log n) time, in blocks whose tables hold at
+    most VALIDATE_BLOCK_CELLS cells.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -136,35 +140,40 @@ def validate(n: int, classes) -> SRing:
     if canon[0] != (0,):
         raise ZeroClassNotSingleton("class of 0 must be exactly {0}")
 
-    # the points class by class; each point's class starts at position start[p]
-    order = np.fromiter(chain.from_iterable(canon), np.intp, n)
-    sizes = [len(c) for c in canon]
-    offsets = np.cumsum([0] + sizes[:-1])
-    start = np.repeat(offsets, sizes)
-    C = np.array(A.class_of, np.intp)
-
-    # each axiom: a per-point array is constant on every class, i.e. its
-    # value at position p equals its value at start[p]
-    neg = C[-order % n]
-    bad = neg != neg[start]
+    # the keys class(x) * rank + class(p - x) fit this unsigned type, of 16
+    # bits at least: numpy sorts long 8-bit rows about 30 times slower
+    C = np.array(A.class_of, np.min_scalar_type(max(A.rank ** 2 - 1, 2**8)))
+    # row p, column x of `table` is CC[p + n - x], the class of p - x: a
+    # view of the doubled labels that steps one label forward along p and
+    # one back along x
+    CC, w = np.concatenate((C, C)), C.itemsize
+    table = np.ndarray((n, n), C.dtype, CC, n * w, (w, -w))
+    rep = np.array([c[0] for c in canon], np.intp)[C]
+    # row 0 holds the class of -z
+    bad = table[0] != table[0, rep]
     if bad.any():
-        raise NotInverseClosed(canon[C[order[bad.argmax()]]])
+        raise NotInverseClosed(canon[C[bad.argmax()]])
 
-    # rows of z - X by blocks, whose row 0 is the representative of their
-    # first point; X = {0} is skipped, as its row of z is the colour of z
-    for X, s in zip(canon[1:], offsets[1:]):
-        step = max(1, VALIDATE_BLOCK_CELLS // len(X))
-        for a in range(0, n, step):
-            pts = np.concatenate((order[start[a]:start[a] + 1], order[a:a + step]))
-            rows = C[(pts[:, None] - order[s:s + len(X)]) % n]
-            rows.sort(axis=1)
-            ref = np.maximum(start[a:a + step] - a + 1, 0)
-            bad = (rows[1:] != rows[ref]).any(axis=1)
-            if bad.any():
-                p, q = 1 + bad.argmax(), ref[bad.argmax()]
-                counts = [np.bincount(rows[i], minlength=n) for i in (p, q)]
-                y = (counts[0] != counts[1]).argmax()
-                raise NotClosedUnderProduct(X, canon[y], int(pts[q]), int(pts[p]))
+    # each block's points that are not the least of their class, then the
+    # distinct representatives of those points: at most 2 * step rows
+    keys = C * A.rank
+    pts = np.flatnonzero(rep != np.arange(n))
+    step = max(1, VALIDATE_BLOCK_CELLS // (2 * n))
+    for a in range(0, len(pts), step):
+        P = pts[a:a + step]
+        R = rep[P]
+        reps = np.flatnonzero(np.bincount(R))
+        rows = table[np.concatenate((P, reps))]
+        rows += keys
+        rows.sort(axis=1)
+        ref = rows[len(P):][np.searchsorted(reps, R)]
+        bad = rows[:len(P)] != ref
+        if bad.any():
+            # the first row that differs, from column k on: the rows agree
+            # before k, so the smaller key there occurs more often in one
+            i, k = divmod(int(bad.argmax()), n)
+            X, Y = divmod(int(min(rows[i, k], ref[i, k])), A.rank)
+            raise NotClosedUnderProduct(canon[X], canon[Y], int(R[i]), int(P[i]))
 
     return A
 
@@ -219,10 +228,12 @@ def sections(A: SRing) -> list[Section]:
 
 def radical_of_class(A: SRing, i: int) -> int:
     """|{g : g + X = X}| for class X = classes[i]: these g form a subgroup,
-    so this is the largest d | n with X + n/d = X.  O(tau(n) |X|)."""
+    so this is the largest d | n with X + n/d = X.  That subgroup is where
+    X * (-X) has coefficient |X|, a union of classes, so d is an A-group
+    order.  O(|a_groups| |X|)."""
     n, c = A.n, A.class_of
     X = A.classes[i]
-    return max(d for d in divisors(n) if all(c[(x + n // d) % n] == i for x in X))
+    return max(d for d in A.a_groups if all(c[(x + n // d) % n] == i for x in X))
 
 
 def highest_classes(A: SRing) -> list[int]:
@@ -240,8 +251,9 @@ def highest_classes(A: SRing) -> list[int]:
 def radical(A: SRing) -> int:
     """The ring radical: the radical of a highest class.  Over a cyclic
     group all highest classes of an S-ring share one radical
-    (Evdokimov-Ponomarenko), so the first one is taken."""
-    return radical_of_class(A, highest_classes(A)[0])
+    (Evdokimov-Ponomarenko), so the class of 1 is taken: the first highest
+    class (class {0} is highest only when n = 1)."""
+    return radical_of_class(A, A.class_of[1 % A.n])
 
 
 def is_primitive(A: SRing) -> bool:

@@ -10,7 +10,8 @@ test by conjugation `is_normal_subgroup` (the reference for
 maps of Z_n, `subgroup_elements` and `project`, and `a_groups_by_scan`,
 one label scan per divisor, the reference for `SRing.a_groups`.
 `minimal_by_sections` decides every proper section ring, the reference
-for `minimal_nonschurian_check`.
+for `minimal_nonschurian_check`.  `set_partitions` lists every partition
+of a list, the reference for the oracle's partition walker.
 `full_join` is the closure with the unreduced wreath join, which glues
 every pair whose sections agree: the reference for `enumerate_srings`
 past the frozen digests and for its two join filters."""
@@ -148,6 +149,20 @@ def is_normal_subgroup(gamma, delta):
 def orbits_of_perms(n, perms):
     """Orbit partition of {0..n-1} under a set of permutations."""
     return orbit_partition(merge_orbits(np.arange(n), perms))
+
+
+def set_partitions(points):
+    """Every partition of the list `points` into nonempty classes, once
+    each: the first point joins each class of a partition of the rest in
+    turn, or a class of its own."""
+    if not points:
+        yield []
+        return
+    x, rest = points[0], points[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[x] + part[i]] + part[i + 1:]
+        yield [[x]] + part
 
 
 def subgroup_elements(n, d):

@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 import pytest
-from conftest import full_join
+from conftest import full_join, set_partitions
 from test_verdict_digests import CENSUS_72_PATH, census_entry
 
 from schurring import catalog as catalog_mod
@@ -152,6 +152,21 @@ def test_brute_force_examples():
         ((0,), (1, 3), (2,)),
         ((0,), (1, 2, 3)),
     }
+
+
+def test_walker_yields_each_negation_closed_partition_once():
+    # every partition of {1..n-1} whose negation maps each class onto a
+    # class, once, as ascending classes in order of their least point
+    for n in range(1, 11):
+        want = set()
+        for part in set_partitions(list(range(1, n))):
+            classes = frozenset(map(frozenset, part))
+            if all(frozenset((n - x) % n for x in c) in classes for c in classes):
+                want.add(classes)
+        got = list(catalog_mod._inverse_closed_partitions(n))
+        assert all(p == sorted(map(sorted, p)) for p in got), n
+        got = [frozenset(map(frozenset, p)) for p in got]
+        assert len(got) == len(set(got)) and set(got) == want, n
 
 
 def test_catalog_entries_are_valid_and_deduplicated():

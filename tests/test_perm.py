@@ -54,6 +54,7 @@ def test_perm_primitives():
 def test_translations_examples():
     assert translations(3).order() == 3
     assert translations(1).order() == 1
+    assert translations(1).generators == []
     assert translations(72).order() == 72
 
 

@@ -213,23 +213,26 @@ def test_validate_matches_pairwise_reference():
 
 
 def test_validate_blocks_do_not_change_the_result(monkeypatch):
-    # blocks of a few rows, so most blocks start inside a class and compare
-    # against the row of a representative from an earlier block
+    # rows hold n cells: 8 cells give blocks of one point and its
+    # representative, 256 cells blocks of 5-25 points from several classes,
+    # whose distinct representatives are found again in each block
     partitions = [(A.n, [list(c) for c in A.classes]) for n in range(1, 25)
                   for A in enumerate_srings(n).rings]
     for n in range(1, 17):
         for A in enumerate_srings(n).rings:
             partitions += [(n, p) for p in _merged_and_split(A)]
     whole = [_verdict(validate, n, p) for n, p in partitions]
-    monkeypatch.setattr("schurring.sring.VALIDATE_BLOCK_CELLS", 8)
-    for (n, p), want in zip(partitions, whole):
-        got = _verdict(validate, n, p)
-        assert repr(got) == repr(want), (n, p)  # the message names the payload
+    for cells in (8, 256):
+        monkeypatch.setattr("schurring.sring.VALIDATE_BLOCK_CELLS", cells)
+        for (n, p), want in zip(partitions, whole):
+            got = _verdict(validate, n, p)
+            assert repr(got) == repr(want), (cells, n, p)  # the message names the payload
 
 
 def test_validate_allocation_is_bounded():
-    # a single block over the class of size 4095 would be a 4096 x 4095
-    # index array, 128 MiB
+    # one table of int64 keys over every point would be 4096 x 4096 cells,
+    # 128 MiB; blocks of 128 points and their representative, with 16-bit
+    # keys, keep each array near 1 MiB
     tracemalloc.start()
     try:
         assert validate(4096, [[0], list(range(1, 4096))]).rank == 2
@@ -364,6 +367,7 @@ def test_highest_classes_share_one_radical():
     witnesses = _witness_rings()
     assert len(witnesses) == 14
     for A in [A for n in range(1, 37) for A in enumerate_srings(n).rings] + witnesses:
+        assert highest_classes(A)[0] == A.class_of[1 % A.n], A.class_of
         assert len({radical_of_class(A, i) for i in highest_classes(A)}) == 1, A.class_of
 
 
