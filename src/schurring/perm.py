@@ -19,6 +19,9 @@ from .errors import SectionActionMismatch
 
 Perm = tuple[int, ...]
 
+# rows in the first batch of Schreier generators `_schreier_residue` sifts
+SIFT_BATCH = 32
+
 
 def identity(n: int) -> Perm:
     return tuple(range(n))
@@ -40,8 +43,10 @@ class PermGroup:
     found by the generators and by every representative so far, so a
     long cycle takes logarithmically many rounds, not one per point.  A
     level's Schreier generators are sifted one strong generator at a
-    time, as one |orbit| x n array with one flat gather per deeper level
-    for the rows whose representative there is not the identity.
+    time, in batches of doubling size, each a rows x n array with one
+    flat gather per deeper level for the rows whose representative there
+    is not the identity.  A row that repeats an earlier row, or one that
+    sifted at the level before, is not sifted again.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm]):
@@ -95,6 +100,8 @@ class _Level:
         self.ginv: list[np.ndarray] = []
         # per generator: the orbit prefix whose Schreier generators sifted
         self.checked: list[int] = []
+        # the bytes of every Schreier generator of this level that sifted
+        self.sifted: set[bytes] = set()
         self.orbit = np.array([point])
         self.pos = np.full(n, -1)
         self.pos[point] = 0
@@ -119,9 +126,9 @@ class _Level:
         while True:
             img = maps[:, self.orbit[start:]]
             fresh = self.pos[img] < 0
-            pts, first = np.unique(img[fresh], return_index=True)
-            if not len(pts):
+            if not fresh.any():
                 return
+            pts, first = np.unique(img[fresh], return_index=True)
             r, x = np.nonzero(fresh)
             r, x = r[first], x[first] + start
             new_u = maps.take(r[:, None] * n + self.u[x])  # u_x, then r
@@ -164,20 +171,49 @@ def _schreier_sims(levels: list[_Level], gens: Iterable, dtype) -> None:
 
 def _schreier_residue(levels: list[_Level], i: int):
     """Sift level i's unchecked Schreier generators u_x * s * u_{s(x)}^-1
-    through the levels below it, one strong generator s (all orbit
-    points x at once) at a time; return the first that does not sift,
-    as `_sift` does, or None."""
+    through the levels below it, one strong generator s at a time; return
+    the first that does not sift, as `_sift` does, or None.
+
+    The orbit points x after s's checked prefix go in batches of
+    `SIFT_BATCH`, twice that, four times that, ... rows, in orbit order.
+    A batch usually fails within its first few rows, and the rows behind
+    the first failure are gathered through every level only to be thrown
+    away, so small batches come first.  Of a batch only the first copy
+    of each row that has not sifted at this level before is sifted: the
+    levels below only grow, so a row that sifted once would sift again,
+    and a copy sifts as its first copy does.  Each row sifts on its own,
+    so the first row that fails, and with it every residue and the whole
+    chain, is the one a single batch of all the rows would give."""
     lvl = levels[i]
     for k, s in enumerate(lvl.gens):
-        done = lvl.checked[k]
-        if done == len(lvl.orbit):
-            continue
-        batch = _apply_uinv(lvl.uinv, lvl.pos[s[lvl.orbit[done:]]], s[lvl.u[done:]])
-        hit = _sift(levels, i + 1, batch, len(s))[1]
-        lvl.checked[k] = len(lvl.orbit) if hit is None else done + hit[0] + 1
-        if hit is not None:
-            return hit
+        size = SIFT_BATCH
+        while lvl.checked[k] < len(lvl.orbit):
+            done = lvl.checked[k]
+            stop = done + size
+            batch = _apply_uinv(lvl.uinv, lvl.pos[s[lvl.orbit[done:stop]]], s[lvl.u[done:stop]])
+            new = _unsifted(batch, lvl.sifted)
+            keep = list(new.values())
+            hit = _sift(levels, i + 1, batch[keep], len(s))[1] if keep else None
+            if hit is not None:
+                lvl.checked[k] = done + keep[hit[0]] + 1
+                lvl.sifted.update(list(new)[:hit[0]])
+                return hit
+            lvl.sifted.update(new)
+            lvl.checked[k] = min(stop, len(lvl.orbit))
+            size *= 2
     return None
+
+
+def _unsifted(batch: np.ndarray, sifted: set[bytes]) -> dict[bytes, int]:
+    """The bytes of each row of `batch` that is not in `sifted`, mapped to
+    the index of its first copy, in row order."""
+    raw, w = batch.tobytes(), batch.shape[1] * batch.itemsize
+    first: dict[bytes, int] = {}
+    for r in range(len(batch)):
+        key = raw[r * w:(r + 1) * w]
+        if key not in sifted:
+            first.setdefault(key, r)
+    return first
 
 
 def _apply_uinv(uinv: np.ndarray, rows: np.ndarray, batch: np.ndarray) -> np.ndarray:

@@ -38,10 +38,23 @@ equal cell sizes make this map a bijection.  It is accepted iff it
 preserves every color, checked on the rows of the points it moves only.
 When every cell is a singleton this map is the forced one, and a frame
 whose read-off fails has nothing to branch on.  Otherwise the frame
-branches on the lowest-numbered point whose cell is not a singleton,
-over that cell's targets.  On a rank-2-like level, where swapping v and
-w and fixing every other point preserves colors, the first read-off
-succeeds, so such a level costs one frame.  The budget counts nodes:
+branches where the read-off went wrong: on the lowest-numbered moved
+point whose row the map breaks and whose cell is not a singleton, over
+that cell's targets.  If every such point is alone in its cell, it
+branches on the lowest-numbered point whose cell is not a singleton.
+Either way the search stays complete: an automorphism that extends the
+state maps every point to one of its cell's targets, so branching on any
+point of a cell that is not a singleton, over all of that cell's
+targets, misses none.  The choice of point moves the number of frames
+and which generators are found, never the group, its order or its
+orbits.  A broken row marks a point whose image the read-off guessed
+wrong, so individualizing it first settles the guess where it failed
+(McKay and Piperno, "Practical graph isomorphism, II", 2014, branch on
+the cell the current guess got wrong): on the 14 witness rings this
+takes 445 frames where the lowest point of any open cell took 770.  On a
+rank-2-like level, where swapping v and w and fixing every other point
+preserves colors, the first read-off succeeds, so such a level costs
+one frame.  The budget counts nodes:
 
 - one node per candidate image the DFS tries when it branches;
 - one node per point a read-off map moves, whether it is accepted or not.
@@ -118,7 +131,7 @@ The budget so bounds every search, not the sum over a ring's factors.
 A negative budget is refused on entry, whichever case decides the ring.
 
 Rings over more than `MAX_SEARCH_DEGREE` points are refused with
-CapExceeded before the n x n color matrix is built.
+CapExceeded before the search allocates its per-level labels.
 """
 
 from __future__ import annotations
@@ -136,14 +149,15 @@ from .sring import SRing, _is_wreath, quotient, restrict, tensor_split
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
-# The n^2 part of the search is the int16 color matrix M and the per-level
-# label vectors: at n = 512 about 0.5 MiB and 2 MiB.  A DFS frame holds two
-# n-vectors, and the depth is at most one frame per point, well below
-# Python's default recursion limit of 1000.  Rank-2-like levels finish in
-# one frame.  The largest witness has n = 300.  Raising the cap waits on a
-# size bound for `PermGroup`: its Schreier-Sims on Sym(60) still takes 6-7 s
-# on a 2-core Xeon, and `automorphism_group(rank2(n))` is Sym(n), which it
-# builds from two generators: `.order()` on rank2(40) takes 0.24-0.34 s.
+# The n^2 part of the search is the per-level label vectors, about 2 MiB
+# at n = 512; the color matrix M is a strided view of 2n int16 labels.  A
+# DFS frame holds two n-vectors, and the depth is at most one frame per
+# point, well below Python's default recursion limit of 1000.  Rank-2-like
+# levels finish in one frame.  The largest witness has n = 300.  Raising
+# the cap waits on a size bound for `PermGroup`: its Schreier-Sims on
+# Sym(60) still takes about 0.7 s on a 2-core Xeon, and
+# `automorphism_group(rank2(n))` is Sym(n), which it builds from two
+# generators: `.order()` on rank2(40) takes about 0.2 s.
 MAX_SEARCH_DEGREE = 512
 
 
@@ -291,9 +305,12 @@ def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
     most `MAX_SEARCH_DEGREE` points: `_aut_data` checks the degree first."""
     budget = DEFAULT_BUDGET if budget is None else budget
     n = A.n
-    C = np.asarray(A.class_of, dtype=np.int16)
+    # M[x, y] = color(x, y) = CC[n - x + y]: a view of the doubled labels
+    # that steps one label back along x and one forward along y
+    CC = np.array(A.class_of * 2, dtype=np.int16)
+    w = CC.itemsize
+    M = np.ndarray((n, n), CC.dtype, CC, n * w, (-w, w))
     idx = np.arange(n)
-    M = C[(idx[None, :] - idx[:, None]) % n]  # M[x, y] = color(x, y)
     rank = A.rank
     nodes = 0
 
@@ -321,9 +338,12 @@ def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
         stays, and the movers (src[x] != dst[x]) of each cell go to the
         cell's other targets, both in increasing order, which pairs them
         one to one.  It is accepted iff it preserves every color.  If not,
-        and every cell is a singleton, no g exists; otherwise the
-        lowest-numbered point whose cell is not a singleton branches over
-        its cell's targets, one node per target tried.
+        and every cell is a singleton, no g exists.  Otherwise one point
+        branches over its cell's targets, one node per target tried: the
+        lowest-numbered mover whose row the map breaks and whose cell is
+        not a singleton, else the lowest-numbered point whose cell is not
+        a singleton.  Every g maps that point to one of those targets, so
+        no g is missed.
         """
         sizes = np.bincount(src)
         if not np.array_equal(sizes, np.bincount(dst)):
@@ -335,11 +355,14 @@ def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
         # Pairs of fixed points keep their color, and for a fixed a and a
         # moved b the color of (a, b) is the negation class of that of
         # (b, a), so the rows of the moved points decide.
-        if (M[full[movers]][:, full] == M[movers]).all():
+        bad = (M[full[movers]][:, full] != M[movers]).any(axis=1)
+        if not bad.any():
             return full
         if sizes.max() == 1:
             return None
-        x = int((sizes[src] > 1).argmax())
+        shared = sizes[src] > 1  # points whose cell is not a singleton
+        wrong = movers[bad & shared[movers]]
+        x = int(wrong[0]) if wrong.size else int(shared.argmax())
         cell = src[x]
         for y in (dst == cell).nonzero()[0].tolist():
             charge(1)

@@ -328,6 +328,18 @@ def test_chain_on_a_prescribed_base_prefix():
         assert all(lvl.gens for lvl in levels[len(prefix):])
 
 
+def test_witness_chains_are_pinned():
+    # the base and the basic orbit sizes of two searched automorphism
+    # groups: neither the batches the Schreier generators are sifted in nor
+    # skipping the ones that sifted before moves them
+    for (n1, n2), base, sizes in (((8, 9), [0, 2, 1], [72, 6, 6]),
+                                  ((12, 25), [0, 4, 3, 2, 1], [300, 10, 15, 15, 15])):
+        G = automorphism_group(witness(n1, n2))
+        assert G.order() == math.prod(sizes)
+        assert [lvl.point for lvl in G._chain] == base
+        assert [len(lvl.orbit) for lvl in G._chain] == sizes
+
+
 def test_sift_leaves_its_batch_unchanged():
     rng = random.Random(17)
     for n in (6, 12, 40):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import is_color_automorphism, is_normal_subgroup, minimal_by_sections, orbits_of_perms
+from schurring import schurity
 from schurring.arith import classify
 from schurring.catalog import census, enumerate_srings
 from schurring.construct import MultiplierGroup, cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
@@ -66,7 +67,7 @@ def test_stabilizer_chain_is_checked_independently():
                  if classify(n).nonschur_split]
     assert len(witnesses) == 14
     rings = [A for n in range(1, 17) for A in enumerate_srings(n).rings] + witnesses
-    # about 9x the most nodes any of these rings needs (11,272, witness(8, 33)),
+    # about 10x the most nodes any of these rings needs (10,399, witness(8, 33)),
     # so a search gone wrong fails here instead of burning the default budget
     budget = 10**5
     for A in rings:
@@ -79,11 +80,34 @@ def test_stabilizer_chain_is_checked_independently():
         assert all(data.orbit[data.orbit[x]] == data.orbit[x] <= x for x in range(A.n))
 
 
+def test_search_branches_where_the_read_off_failed(monkeypatch):
+    # a DFS frame relabels the 2n keys of both sides, a level's labels only
+    # n.  Branching on a point whose row the failed read-off broke takes 445
+    # frames over the 14 witness rings; the lowest point of any open cell
+    # took 770
+    witnesses = [witness(*classify(n).nonschur_split) for n in range(72, 301)
+                 if classify(n).nonschur_split]
+    sizes = []
+    relabel = schurity._relabel
+
+    def counted(keys):
+        sizes.append(keys.size)
+        return relabel(keys)
+
+    monkeypatch.setattr(schurity, "_relabel", counted)
+    frames = 0
+    for A in witnesses:
+        sizes.clear()
+        _search(A)
+        frames += sizes.count(2 * A.n)
+    assert frames <= 450
+
+
 def test_census_builds_no_generators():
     # no verdict reads the 0-stabilizer generators, so deciding a census
     # builds none, not even for the rings assembled from their factors.  No
     # other test passes this budget, so every memo entry read here is this
-    # test's own; it is about 20x the most nodes a ring here needs (948)
+    # test's own; it is about 50x the most nodes a ring here needs (398)
     budget = 2 * 10**4
     entries = [e for n in range(1, 37) for e in census(n, budget=budget).entries]
     assert len(entries) == 1275
@@ -243,7 +267,7 @@ def test_budget_exhaustion_raises():
     # budget: rank2(5) or rank2(6) on U, which cost nothing, and the same Z_11
     # ring of class sizes 1, 5, 5 on G/U.  Every budget is its own memo key,
     # so each one runs its own searches.
-    for A, threshold in ((cyclotomic(k_m(35)), 34), (witness(8, 9), 618),
+    for A, threshold in ((cyclotomic(k_m(35)), 34), (witness(8, 9), 615),
                          (_catalog_ring(55, [1, 4, 25, 25]), 32), (_catalog_ring(66, [1, 5, 30, 30]), 32)):
         decided = is_schurian(A, budget=threshold)
         with pytest.raises(SearchBudgetExceeded):
@@ -321,7 +345,7 @@ def test_plain_stalls_past_100_are_decided_from_their_factors():
         for g in data.stabilizer_gens:
             assert g[0] == 0 and is_color_automorphism(A, g)
         assert tuple(orbits_of_perms(A.n, data.stabilizer_gens)) == tuple(orbit_partition(data.orbit))
-        # Schreier-Sims on Sym(11) wr Sym(13) still takes about 20 s
+        # Schreier-Sims on Sym(11) wr Sym(13) still takes about 3 s
         if A.rank > 3:
             assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order
 
