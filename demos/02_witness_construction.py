@@ -24,8 +24,7 @@ print("basic sets:")
 for c in w.ring.classes:
     print(f"  {list(c)}")
 
-print("\nproper wreath decompositions (u, l):",
-      [(s.u, s.l) for s in wreath_decompositions(w.ring)])
+print("\nproper wreath decompositions (u, l):", wreath_decompositions(w.ring))
 
 v = is_schurian(w.ring)
 print(f"\nschurian: {v.schurian}")

@@ -35,15 +35,12 @@ from .schurity import (
     SchurityVerdict,
     automorphism_group,
     color,
-    is_normal_sring,
     is_schurian,
     minimal_nonschurian_check,
 )
 from .sring import (
-    Section,
     SRing,
     group_ring,
-    highest_classes,
     is_dense,
     is_primitive,
     is_quasidense,
@@ -51,8 +48,6 @@ from .sring import (
     radical,
     radical_of_class,
     restrict,
-    restrict_section,
-    sections,
     tensor_split,
     validate,
     wreath_decompositions,

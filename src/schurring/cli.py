@@ -155,7 +155,7 @@ def cmd_analyze(args) -> dict:
         "quasidense": is_quasidense(A),
         "primitive": is_primitive(A),
         "cyclotomic": list(K.elements) if K else None,
-        "wreath_decompositions": [[s.u, s.l] for s in wreath_decompositions(A)],
+        "wreath_decompositions": [list(s) for s in wreath_decompositions(A)],
     }
 
 

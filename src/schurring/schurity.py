@@ -114,11 +114,10 @@ a = x/e mod d and b = x/d mod e:
 
 Deciding a ring computes its order and orbit labels only.  No verdict
 reads the generators, so each `_AutData` builds them on the first read
-of `stabilizer_gens` (`automorphism_group`, `is_normal_sring`), as
-`SRing` derives its classes: a search hands over the generators it
-found, and an assembly builds its own from its factors' generators,
-read then.  So a census builds none, and building them never searches
-and charges no nodes.
+of `stabilizer_gens` (by `automorphism_group`), as `SRing` derives its
+classes: a search hands over the generators it found, and an assembly
+builds its own from its factors' generators, read then.  So a census
+builds none, and building them never searches and charges no nodes.
 
 The result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
@@ -145,7 +144,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from .perm import PermGroup, merge_orbits, orbit_partition, translations
-from .sring import SRing, _is_wreath, quotient, restrict, tensor_split
+from .sring import SRing, _color_matrix, _is_wreath, quotient, restrict, tensor_split
 
 DEFAULT_BUDGET = 10**8
 AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
@@ -305,11 +304,7 @@ def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
     most `MAX_SEARCH_DEGREE` points: `_aut_data` checks the degree first."""
     budget = DEFAULT_BUDGET if budget is None else budget
     n = A.n
-    # M[x, y] = color(x, y) = CC[n - x + y]: a view of the doubled labels
-    # that steps one label back along x and one forward along y
-    CC = np.array(A.class_of * 2, dtype=np.int16)
-    w = CC.itemsize
-    M = np.ndarray((n, n), CC.dtype, CC, n * w, (-w, w))
+    M = _color_matrix(np.array(A.class_of, dtype=np.int16))  # M[x, y] = color(x, y)
     idx = np.arange(n)
     rank = A.rank
     nodes = 0
@@ -433,19 +428,6 @@ def is_schurian(A: SRing, budget: Optional[int] = None) -> SchurityVerdict:
     mismatch = next((orb, A.class_of[orb[0]]) for orb in orbits
                     if len(orb) < len(A.classes[A.class_of[orb[0]]]))
     return SchurityVerdict(False, data.order, orbits, mismatch)
-
-
-def is_normal_sring(A: SRing, budget: Optional[int] = None) -> bool:
-    """Whether the translations are normal in aut(A).
-
-    aut(A) is generated by the translations and the generators of the
-    stabilizer of 0.  The normalizer of the translations in Sym(n) is the
-    holomorph, whose elements fixing 0 are the multipliers x -> m*x.  So
-    the translations are normal iff every stabilizer generator g is the
-    multiplier by g(1).
-    """
-    n = A.n
-    return all(all(g[x] == g[1] * x % n for x in range(n)) for g in _aut_data(A, budget).stabilizer_gens)
 
 
 def minimal_nonschurian_check(A: SRing, budget: Optional[int] = None) -> bool:

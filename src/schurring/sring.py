@@ -1,5 +1,5 @@
 """The S-ring data model over Z_n, and the structure read off its labels:
-A-groups, sections, radicals, density and wreath decompositions.
+A-groups, the section maps, radicals, density and wreath decompositions.
 
 An S-ring is a partition of {0, ..., n-1} into basic sets ("classes"):
 class 0 is exactly {0}, the partition is closed under negation, and for
@@ -13,9 +13,9 @@ Two labellings give the same vector iff they induce the same partition,
 so `==` and `hash` on (n, class_of) are the ring's identity.  The rank,
 the classes themselves (ascending, ordered by their minimum) and the
 A-group lattice `a_groups` are derived from the labels the first time
-they are read.  Every structural question below (sections, primitivity,
-density, quasidensity, wreath decompositions, tensor splits) reads that
-one lattice.
+they are read.  Every structural question below (the section maps
+`restrict` and `quotient`, primitivity, density, quasidensity, wreath
+decompositions, tensor splits) reads that one lattice.
 
 `validate` checks a partition that comes from outside.  A partition that
 is an S-ring by theorem is not checked again: `restrict` and `quotient`
@@ -28,8 +28,8 @@ p - x) over every x in Z_n.  Key (i, j) occurs #{x in X_i : p - x in X_j}
 times, the coefficient of p in X_i * X_j.  So every product X_i * X_j is
 constant on every class iff each point's row equals the row of its
 class's least point.  The rows are read, a block of points at a time,
-through a strided view of the labels written twice, so no table of
-indices is built.
+through `_color_matrix`, a strided view of the labels written twice, so
+no table of indices is built.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ class SRing:
         return f"SRing(n={self.n}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class Section:
-    """Orders (u, l) of a nested pair of A-groups, representing U/L."""
-
-    u: int
-    l: int
-
-    @property
-    def order(self) -> int:
-        return self.u // self.l
-
-
 def validate(n: int, classes) -> SRing:
     """Check all S-ring axioms and return the canonical SRing.
 
@@ -143,11 +131,8 @@ def validate(n: int, classes) -> SRing:
     # the keys class(x) * rank + class(p - x) fit this unsigned type, of 16
     # bits at least: numpy sorts long 8-bit rows about 30 times slower
     C = np.array(A.class_of, np.min_scalar_type(max(A.rank ** 2 - 1, 2**8)))
-    # row p, column x of `table` is CC[p + n - x], the class of p - x: a
-    # view of the doubled labels that steps one label forward along p and
-    # one back along x
-    CC, w = np.concatenate((C, C)), C.itemsize
-    table = np.ndarray((n, n), C.dtype, CC, n * w, (w, -w))
+    # row p, column x of `table` is the class of p - x
+    table = _color_matrix(C).T
     rep = np.array([c[0] for c in canon], np.intp)[C]
     # row 0 holds the class of -z
     bad = table[0] != table[0, rep]
@@ -176,6 +161,14 @@ def validate(n: int, classes) -> SRing:
             raise NotClosedUnderProduct(canon[X], canon[Y], int(R[i]), int(P[i]))
 
     return A
+
+
+def _color_matrix(C: np.ndarray) -> np.ndarray:
+    """M[x, y] = C[(y - x) mod n], the color of (x, y) for the labels C:
+    a view of C written twice, whose entry (x, y) is label n - x + y of the
+    copy, so it steps one label back along x and one forward along y."""
+    n, w = C.size, C.itemsize
+    return np.ndarray((n, n), C.dtype, np.concatenate((C, C)), n * w, (-w, w))
 
 
 def _first_seen(raw) -> tuple[int, ...]:
@@ -215,17 +208,6 @@ def quotient(A: SRing, l: int) -> SRing:
     return _from_labels(m, [min(A.class_of[x::m]) for x in range(m)])
 
 
-def restrict_section(A: SRing, s: Section) -> SRing:
-    """A_S for the section S = U/L, an S-ring over Z_{u/l}."""
-    return quotient(restrict(A, s.u), s.l)
-
-
-def sections(A: SRing) -> list[Section]:
-    """All A-sections (u, l), (n, 1) included."""
-    ags = A.a_groups
-    return [Section(u, l) for u in ags for l in ags if u % l == 0]
-
-
 def radical_of_class(A: SRing, i: int) -> int:
     """|{g : g + X = X}| for class X = classes[i]: these g form a subgroup,
     so this is the largest d | n with X + n/d = X.  That subgroup is where
@@ -234,18 +216,6 @@ def radical_of_class(A: SRing, i: int) -> int:
     n, c = A.n, A.class_of
     X = A.classes[i]
     return max(d for d in A.a_groups if all(c[(x + n // d) % n] == i for x in X))
-
-
-def highest_classes(A: SRing) -> list[int]:
-    """Indices of classes generating the whole of Z_n."""
-    out = []
-    for i, c in enumerate(A.classes):
-        g = A.n
-        for x in c:
-            g = math.gcd(g, x)
-        if g == 1:
-            out.append(i)
-    return out
 
 
 def radical(A: SRing) -> int:
@@ -297,14 +267,14 @@ def _is_wreath(A: SRing, u: int, l: int) -> bool:
     return not any(map(m.__rmod__, moved))
 
 
-def wreath_decompositions(A: SRing) -> list[Section]:
+def wreath_decompositions(A: SRing) -> list[tuple[int, int]]:
     """Proper sections (u, l) such that A is the U/L-wreath product.
 
     Condition: every class outside U is a union of L-cosets (its radical
     contains L).  Proper means l > 1 and u < n.  Sorted by (u, l).
     """
     ags = A.a_groups
-    return [Section(u, l) for u in ags[:-1] for l in ags[1:] if u % l == 0 and _is_wreath(A, u, l)]
+    return [(u, l) for u in ags[:-1] for l in ags[1:] if u % l == 0 and _is_wreath(A, u, l)]
 
 
 def tensor_split(A: SRing, d: int) -> bool:

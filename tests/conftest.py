@@ -10,7 +10,12 @@ test by conjugation `is_normal_subgroup` (the reference for
 maps of Z_n, `subgroup_elements` and `project`, and `a_groups_by_scan`,
 one label scan per divisor, the reference for `SRing.a_groups`.
 `minimal_by_sections` decides every proper section ring, the reference
-for `minimal_nonschurian_check`.  `set_partitions` lists every partition
+for `minimal_nonschurian_check`; it builds them with `sections`, every
+A-section (u, l), and `restrict_section`, the ring of U/L.
+`highest_classes` lists the classes that generate Z_n, the reference
+for `radical`'s class of 1.  `is_normal_sring` tests the translations
+for normality in aut(A) on the library's own 0-stabilizer generators,
+against `is_normal_subgroup`.  `set_partitions` lists every partition
 of a list, the reference for the oracle's partition walker.
 `full_join` is the closure with the unreduced wreath join, which glues
 every pair whose sections agree: the reference for `enumerate_srings`
@@ -27,8 +32,8 @@ from schurring.catalog import enumerate_srings, unit_subgroups
 from schurring.construct import _gen_wreath_labels, _tensor_labels, cyclotomic, rank2
 from schurring.errors import NotAnAGroup
 from schurring.perm import identity, merge_orbits, orbit_partition
-from schurring.schurity import is_schurian
-from schurring.sring import SRing, _first_seen, quotient, restrict, restrict_section, sections
+from schurring.schurity import _aut_data, is_schurian
+from schurring.sring import SRing, _first_seen, quotient, restrict
 
 
 @pytest.fixture(scope="session")
@@ -97,11 +102,40 @@ def a_groups_by_scan(A):
     return out
 
 
+def restrict_section(A, u, l):
+    """A_S for the section S = U/L, an S-ring over Z_{u/l}."""
+    return quotient(restrict(A, u), l)
+
+
+def sections(A):
+    """All A-sections (u, l), (n, 1) included."""
+    ags = A.a_groups
+    return [(u, l) for u in ags for l in ags if u % l == 0]
+
+
+def highest_classes(A):
+    """Indices of the classes that generate the whole of Z_n."""
+    return [i for i, c in enumerate(A.classes) if math.gcd(A.n, *c) == 1]
+
+
 def minimal_by_sections(A):
     """Whether every proper section ring U/L of A, (u, l) != (n, 1), is
     schurian: each one built and decided."""
-    return all(is_schurian(restrict_section(A, s)).schurian
-               for s in sections(A) if (s.u, s.l) != (A.n, 1))
+    return all(is_schurian(restrict_section(A, u, l)).schurian
+               for u, l in sections(A) if (u, l) != (A.n, 1))
+
+
+def is_normal_sring(A):
+    """Whether the translations are normal in aut(A).
+
+    aut(A) is generated by the translations and the generators of the
+    stabilizer of 0.  The normalizer of the translations in Sym(n) is the
+    holomorph, whose elements fixing 0 are the multipliers x -> m*x.  So
+    the translations are normal iff every stabilizer generator g is the
+    multiplier by g(1).
+    """
+    n = A.n
+    return all(all(g[x] == g[1] * x % n for x in range(n)) for g in _aut_data(A).stabilizer_gens)
 
 
 def mult(p, q):

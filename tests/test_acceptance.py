@@ -10,6 +10,8 @@ from conftest import (
     brute_wreath_elements,
     closure,
     is_color_automorphism,
+    restrict_section,
+    sections,
     sym_group_gens,
 )
 from schurring.arith import classify, divisors, equivalence_violations, factorize
@@ -33,8 +35,6 @@ from schurring.sring import (
     quotient,
     radical,
     restrict,
-    restrict_section,
-    sections,
     tensor_split,
     validate,
     wreath_decompositions,
@@ -206,20 +206,21 @@ def test_criterion_09_structural_property_suites():
                 # sections of order divisible by all odd primes of n keep
                 # the radical at most 2, and exactly 1 unless |S|_2 = 4
                 stats["cyclotomic_radical"] += 1
-                for s in sections(A):
-                    if any(s.order % p for p in odd_primes):
+                for u, l in sections(A):
+                    order = u // l
+                    if any(order % p for p in odd_primes):
                         continue
-                    r = radical(restrict_section(A, s))
-                    two_part = 2 ** ((s.order & -s.order).bit_length() - 1)
+                    r = radical(restrict_section(A, u, l))
+                    two_part = 2 ** ((order & -order).bit_length() - 1)
                     ok = ok and r <= 2 and (r == 1 or two_part == 4)
             if odd_prime_power and rad == 1:
                 # trivial radical is inherited by all sections of Z_{p^k}
                 ok = ok and all(
-                    radical(restrict_section(A, s)) == 1
-                    for s in sections(A)
+                    radical(restrict_section(A, u, l)) == 1
+                    for u, l in sections(A)
                 )
-            for s in wreath_decompositions(A):
-                applicable, AU, AGL = _wreath_schurity_applicable(A, s.u, s.l)
+            for u, l in wreath_decompositions(A):
+                applicable, AU, AGL = _wreath_schurity_applicable(A, u, l)
                 if not applicable:
                     continue
                 stats["wreath_applicable"] += 1
@@ -229,8 +230,8 @@ def test_criterion_09_structural_property_suites():
     # the non-schurian witness must not admit an applicable decomposition
     # (its factors are rings over family orders, hence schurian)
     w = witness(8, 9)
-    for s in wreath_decompositions(w):
-        applicable, _, _ = _wreath_schurity_applicable(w, s.u, s.l)
+    for u, l in wreath_decompositions(w):
+        applicable, _, _ = _wreath_schurity_applicable(w, u, l)
         ok = ok and not applicable
     check(
         9,

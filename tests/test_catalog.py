@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 import pytest
-from conftest import full_join, set_partitions
+from conftest import full_join, restrict_section, set_partitions
 from test_verdict_digests import CENSUS_72_PATH, census_entry
 
 from schurring import catalog as catalog_mod
@@ -30,11 +30,9 @@ from schurring.construct import (
 )
 from schurring.errors import CapExceeded, NotClosedUnderProduct
 from schurring.sring import (
-    Section,
     group_ring,
     quotient,
     restrict,
-    restrict_section,
     validate,
     wreath_decompositions,
 )
@@ -91,7 +89,7 @@ def test_only_the_boundary_validates(monkeypatch, tmp_path):
         lambda: gen_wreath(G4, group_ring(6), 2),
         lambda: restrict(G4, 2),
         lambda: quotient(G4, 2),
-        lambda: restrict_section(G4, Section(4, 2)),
+        lambda: restrict_section(G4, 4, 2),
     ]
     assert [validations(b) for b in builders] == [0] * len(builders)
     candidates = sum(1 for _ in catalog_mod._inverse_closed_partitions(8))
@@ -123,9 +121,9 @@ def test_join_filters_match_their_definitions():
         for A1, A2, m in full_join(d)[1]:
             u, l = A1.n, A1.n // m
             W = wreath_decompositions(gen_wreath(A1, A2, m))
-            assert (u, l) in {(s.u, s.l) for s in W}
-            smaller_u = any(s.l == l and u % s.u == 0 and s.u < u for s in W)
-            larger_l = any(s.u == u and s.l % l == 0 and s.l > l for s in W)
+            assert (u, l) in W
+            smaller_u = any(l2 == l and u % u2 == 0 and u2 < u for u2, l2 in W)
+            larger_l = any(u2 == u and l2 % l == 0 and l2 > l for u2, l2 in W)
             assert catalog_mod._smaller_u(A1, l) == smaller_u, (A1.class_of, l)
             assert catalog_mod._larger_l(A2, m) == larger_l, (A2.class_of, m)
             triples += 1

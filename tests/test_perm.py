@@ -31,7 +31,7 @@ from schurring.perm import (
     translations,
 )
 from schurring.schurity import aut_order, automorphism_group
-from schurring.sring import Section, quotient, restrict, validate, wreath_decompositions
+from schurring.sring import quotient, restrict, validate, wreath_decompositions
 
 W4 = validate(4, [[0], [2], [1, 3]])
 W8 = validate(8, [[0], [4], [2, 6], [1, 3, 5, 7]])
@@ -457,8 +457,8 @@ def test_perm_gen_wreath_preconditions():
         perm_gen_wreath(PermGroup(4, [(2, 3, 0, 1), (0, 3, 2, 1)]), translations(4), 8, 4, 2)
 
 
-def section_groups(A, s):
-    return automorphism_group(restrict(A, s.u)), automorphism_group(quotient(A, s.l))
+def section_groups(A, u, l):
+    return automorphism_group(restrict(A, u)), automorphism_group(quotient(A, l))
 
 
 def test_perm_gen_wreath_with_a_symmetric_section():
@@ -466,7 +466,7 @@ def test_perm_gen_wreath_with_a_symmetric_section():
     # and the wreath product of the section groups is the whole of aut(A)
     evens = [x for x in range(2, 36, 2) if x != 18]
     A = validate(36, [[0], [18], evens, list(range(1, 36, 2))])
-    G = perm_gen_wreath(*section_groups(A, Section(18, 2)), 36, 18, 2)
+    G = perm_gen_wreath(*section_groups(A, 18, 2), 36, 18, 2)
     assert G.order() == aut_order(A) == 69_039_237_051_187_200
     assert all(is_color_automorphism(A, g) for g in G.generators)
 
@@ -478,10 +478,10 @@ def test_perm_gen_wreath_of_a_minimal_nonschurian_ring_mismatches():
     for w in (witness(8, 9), witness(12, 25)):
         decompositions = wreath_decompositions(w)
         assert decompositions
-        for s in decompositions:
+        for u, l in decompositions:
             with pytest.raises(SectionActionMismatch,
                                match=r"\|delta0 image\| = \d+, \|delta1 image\| = \d+"):
-                perm_gen_wreath(*section_groups(w, s), w.n, s.u, s.l)
+                perm_gen_wreath(*section_groups(w, u, l), w.n, u, l)
 
 
 def test_perm_gen_wreath_section_images_of_equal_order_differ():

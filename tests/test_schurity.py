@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import is_color_automorphism, is_normal_subgroup, minimal_by_sections, orbits_of_perms
+from conftest import (
+    is_color_automorphism,
+    is_normal_sring,
+    is_normal_subgroup,
+    minimal_by_sections,
+    orbits_of_perms,
+)
 from schurring import schurity
 from schurring.arith import classify
 from schurring.catalog import census, enumerate_srings
@@ -20,7 +26,6 @@ from schurring.schurity import (
     aut_order,
     automorphism_group,
     color,
-    is_normal_sring,
     is_schurian,
     minimal_nonschurian_check,
 )

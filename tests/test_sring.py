@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import a_groups_by_scan
+from conftest import a_groups_by_scan, highest_classes, restrict_section, sections
 from schurring.arith import classify, is_prime
 from schurring.catalog import _inverse_closed_partitions, enumerate_srings
 from schurring.construct import (
@@ -29,11 +29,9 @@ from schurring.errors import (
     ZeroClassNotSingleton,
 )
 from schurring.sring import (
-    Section,
     SRing,
     _from_labels,
     group_ring,
-    highest_classes,
     is_dense,
     is_primitive,
     is_quasidense,
@@ -41,8 +39,6 @@ from schurring.sring import (
     radical,
     radical_of_class,
     restrict,
-    restrict_section,
-    sections,
     tensor_split,
     validate,
     wreath_decompositions,
@@ -294,9 +290,9 @@ def test_section_classes_match_the_validated_sections():
 
 
 def test_restrict_section_examples():
-    assert restrict_section(group_ring(12), Section(6, 2)) == group_ring(3)
-    assert restrict_section(W8, Section(4, 2)) == group_ring(2)
-    assert restrict_section(W8, Section(8, 1)) == W8
+    assert restrict_section(group_ring(12), 6, 2) == group_ring(3)
+    assert restrict_section(W8, 4, 2) == group_ring(2)
+    assert restrict_section(W8, 8, 1) == W8
 
 
 def test_restrict_quotient_functoriality():
@@ -319,10 +315,8 @@ def test_restrict_quotient_functoriality():
 
 def test_sections_shape():
     ss = sections(W4)
-    assert Section(4, 1) in ss and Section(2, 2) in ss
-    assert ss == [Section(u, l) for u in (1, 2, 4) for l in (1, 2, 4) if u % l == 0]
-    for s in ss:
-        assert s.u % s.l == 0 and s.order == s.u // s.l
+    assert (4, 1) in ss and (2, 2) in ss
+    assert ss == [(u, l) for u in (1, 2, 4) for l in (1, 2, 4) if u % l == 0]
 
 
 def test_radical_of_class_examples():
@@ -389,9 +383,9 @@ def test_is_quasidense_examples():
 def _quasidense_by_section_rings(A):
     """Quasidensity from its definition: build every section ring and ask
     whether it is primitive.  The reference for the A-group lattice rule."""
-    for s in sections(A):
-        if s.order > 1 and is_primitive(restrict_section(A, s)):
-            if not is_prime(s.order):
+    for u, l in sections(A):
+        if u > l and is_primitive(restrict_section(A, u, l)):
+            if not is_prime(u // l):
                 return False
     return True
 
@@ -403,9 +397,9 @@ def test_is_quasidense_matches_section_rings():
     # the A_S-groups of S = U/L are H/L for the A-groups L <= H <= U
     for A in (A for A in rings if A.n <= 24):
         ags = A.a_groups
-        for s in sections(A):
-            interval = [h // s.l for h in ags if h % s.l == 0 and s.u % h == 0]
-            assert list(restrict_section(A, s).a_groups) == interval, (A.class_of, s)
+        for u, l in sections(A):
+            interval = [h // l for h in ags if h % l == 0 and u % h == 0]
+            assert list(restrict_section(A, u, l).a_groups) == interval, (A.class_of, u, l)
 
 
 def test_is_dense_examples():
@@ -416,9 +410,9 @@ def test_is_dense_examples():
 
 
 def test_wreath_decompositions_examples():
-    assert wreath_decompositions(W4) == [Section(2, 2)]
+    assert wreath_decompositions(W4) == [(2, 2)]
     assert wreath_decompositions(group_ring(12)) == []
-    assert Section(4, 4) in wreath_decompositions(W8)
+    assert (4, 4) in wreath_decompositions(W8)
 
 
 def _wreath_decompositions_by_radicals(A):
@@ -429,7 +423,7 @@ def _wreath_decompositions_by_radicals(A):
     out = []
     for u in ags[:-1]:
         outside = [i for i, c in enumerate(A.classes) if any(x % (A.n // u) for x in c)]
-        out += [Section(u, l) for l in ags[1:] if u % l == 0 and all(rad[i] % l == 0 for i in outside)]
+        out += [(u, l) for l in ags[1:] if u % l == 0 and all(rad[i] % l == 0 for i in outside)]
     return out
 
 
