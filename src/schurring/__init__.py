@@ -1,10 +1,11 @@
 """Schur rings over cyclic groups: construction, validation, enumeration,
 and the decision of schurity.
 
-The central objects are validated partitions of Z_n (`SRing`), multiplier
-groups acting on Z_n (`MultiplierGroup`), and permutation groups with
-stabilizer-chain support (`PermGroup`).  See the demos/ directory for
-worked examples.
+The central objects are S-rings over Z_n, kept as class-label vectors
+(`SRing`), multiplier groups acting on Z_n (`MultiplierGroup`), and
+permutation groups with stabilizer-chain support (`PermGroup`).  Most
+rings are built by theorem; `validate` checks a partition from outside.
+See the demos/ directory for worked examples.
 """
 
 from .arith import (

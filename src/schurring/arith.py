@@ -84,8 +84,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -122,8 +120,6 @@ def factorize(n: int) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         q = stack.pop()
-        if q == 1:
-            continue
         if is_prime(q):
             factors[q] = factors.get(q, 0) + 1
         else:

@@ -30,8 +30,7 @@ filter below drops them.  Each condition reads one factor only:
 - l is largest for u iff A2 = A_{G/L} is M/K-wreath, M of order m, for no
   A2-group K with 1 < k | m (`_larger_l`): the A-groups of A above L are
   the preimages of A2's, and a class of A outside U is the preimage of a
-  class of A2 outside M.  The K that serve all lie in one A2-group, so
-  only the subgroups of M of prime order are tested.
+  class of A2 outside M.
 
 `brute_force_enumerate` is the independent oracle: it walks all
 negation-closed partitions of Z_n \\ {0} and filters them by `validate`.
@@ -41,12 +40,11 @@ result against the arithmetic classification.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import classify, divisors, factorize
+from .arith import classify, divisors
 from .construct import MultiplierGroup, _gen_wreath_labels, _tensor_labels, cyclotomic, rank2, units
 from .errors import CapExceeded, SchurRingError
 from .sring import SRing, _first_seen, _is_wreath, quotient, restrict, validate
@@ -104,12 +102,6 @@ def unit_subgroups(n: int) -> list[MultiplierGroup]:
     return [MultiplierGroup(n, g, g) for g in sorted(groups, key=lambda g: (len(g), g))]
 
 
-@functools.cache
-def _primes(m: int) -> tuple[int, ...]:
-    """The primes dividing m, read once per order by `_larger_l`."""
-    return tuple(p for p, _ in factorize(m).factors)
-
-
 def _smaller_u(A1: SRing, l: int) -> bool:
     """Whether A1 is U'/L-wreath, L of order l, for an A1-group U' with
     l | u' < n1: then a product glued with A1 as its U-side has a
@@ -120,13 +112,8 @@ def _smaller_u(A1: SRing, l: int) -> bool:
 def _larger_l(A2: SRing, m: int) -> bool:
     """Whether A2 is M/K-wreath, M of order m, for an A2-group K with
     1 < k | m: then a product glued with A2 as its G/L-side has a
-    decomposition with a larger l.  The h in M such that every class
-    outside M is a union of <h>-cosets form a subgroup T, and T is an
-    A2-group: it is M cut with the radicals rad(X) = {h : X + h = X} of
-    those classes, and rad(X) is the A2-set where X * (-X) has the
-    coefficient |X|.  So such a K exists iff T > 1, iff T holds the
-    subgroup of some prime order p | m."""
-    return any(_is_wreath(A2, m, p) for p in _primes(m))
+    decomposition with a larger l."""
+    return any(_is_wreath(A2, m, k) for k in A2.a_groups[1:] if m % k == 0)
 
 
 def _catalog_order(rings) -> list[SRing]:

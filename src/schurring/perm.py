@@ -10,8 +10,9 @@ One Schreier-Sims routine builds the chains of `PermGroup` and of
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -59,31 +60,23 @@ class PermGroup:
             if g != identity(degree) and g not in gens:
                 gens.append(g)
         self.generators: list[Perm] = gens
-        self._chain: Optional[list["_Level"]] = None
 
     # -- chain ---------------------------------------------------------
 
-    def _build_chain(self):
-        """Build the chain with every point a possible base point."""
-        if self._chain is not None:
-            return
-        dtype = np.min_scalar_type(max(self.degree - 1, 0))
+    @functools.cached_property
+    def _chain(self) -> list["_Level"]:
+        """The chain, with every point a possible base point."""
         levels: list[_Level] = []
-        _schreier_sims(levels, self.generators, dtype)
-        self._chain = levels
+        _schreier_sims(levels, self.generators, np.min_scalar_type(max(self.degree - 1, 0)))
+        return levels
 
     def order(self) -> int:
-        self._build_chain()
-        out = 1
-        for lvl in self._chain:
-            out *= len(lvl.orbit)
-        return out
+        return math.prod(len(lvl.orbit) for lvl in self._chain)
 
     def __contains__(self, p) -> bool:
         p = tuple(p)
         if not is_perm(p, self.degree):
             return False
-        self._build_chain()
         return _sift(self._chain, 0, np.array([p]), self.degree)[1] is None
 
 

@@ -300,9 +300,32 @@ def test_witness_rejects_bad_inputs():
 
 def test_witness_splits_every_admissible_pair():
     # once coprimality and omega_star >= 2 hold, both parts factor as the
-    # branch needs, so no admissible pair is refused
+    # branch needs, so no admissible pair is refused.  The witness glues
+    # unchecked, so for each pair the four factors are rebuilt from (a, b,
+    # c, d): every gluing's sections agree, each product restricts and
+    # quotients back to its two factors, and the intermediate identity holds
     pairs = [(n1, n2) for n1 in range(1, 64) for n2 in range(n1 + 1, 4000 // n1 + 1)
              if math.gcd(n1, n2) == 1 and omega_star(n1) >= 2 and omega_star(n2) >= 2]
     assert len(pairs) == 939
-    branches = {witness_detailed(n1, n2).branch for n1, n2 in pairs}
+    branches = set()
+    for n1, n2 in pairs:
+        w = witness_detailed(n1, n2)
+        a, b, c, d = w.a, w.b, w.c, w.d
+        branches.add(w.branch)
+        if w.branch == "generic":
+            glue12, glue34, top = c, d, w.n1
+            expected = gen_wreath(cyclotomic(k_m(a)), cyclotomic(k_m(b)), 1)
+        else:
+            glue12, glue34, top = 2 * c, 2 * d, 8
+            expected = gen_wreath(cyclotomic(k_m(4)), cyclotomic(k_m(4)), 2)
+        A1 = tensor(cyclotomic(k_m(a)), cyclotomic(k_m(c)))
+        A2 = cyclotomic(k_m(b * c))
+        A3 = cyclotomic(k_m(a * d))
+        A4 = cyclotomic(k_m(b * d))
+        for left, right, m, glued in [(A1, A2, glue12, w.a12), (A3, A4, glue34, w.a34),
+                                      (w.a12, w.a34, top, w.ring)]:
+            assert quotient(left, left.n // m) == restrict(right, m), (n1, n2, m)
+            assert restrict(glued, left.n) == left, (n1, n2, m)
+            assert quotient(glued, left.n // m) == right, (n1, n2, m)
+        assert quotient(w.a12, w.a12.n // top) == expected, (n1, n2)
     assert branches == {"generic", "special"}
