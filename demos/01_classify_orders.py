@@ -8,16 +8,16 @@ omega_star >= 2 on both sides, where omega_star counts prime factors
 after halving even numbers.  This script walks both formulations.
 """
 
-from schurring import classify, classify_families, find_nonschur_split, omega_star
+from schurring import classify, omega_star
 from schurring.arith import equivalence_violations
 
 print("The five families, matched literally:")
 for n in (7, 16, 24, 30, 60, 210):
-    print(f"  {n:4d} -> {sorted(classify_families(n))}")
+    print(f"  {n:4d} -> {sorted(classify(n).families)}")
 
 print("\nOrders with no family match have a coprime split instead:")
 for n in (72, 144, 200, 2376):
-    n1, n2 = find_nonschur_split(n)
+    n1, n2 = classify(n).nonschur_split
     print(
         f"  {n:4d} = {n1} * {n2}   "
         f"(omega_star = {omega_star(n1)}, {omega_star(n2)})"

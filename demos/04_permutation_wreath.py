@@ -35,7 +35,7 @@ def dihedral(n):
 d4 = dihedral(4)
 print(f"Delta_1 = Delta_0 = dihedral on Z_4, order {d4.order()}")
 
-G = perm_gen_wreath(d4, d4, 8, 4, 2)
+G = perm_gen_wreath(d4, d4, 2)
 print(f"wreath product on Z_8: order {G.order()}")
 for g in G.generators:
     print(f"  generator {g}")
@@ -59,7 +59,7 @@ evens = [x for x in range(2, 36, 2) if x != 18]
 B = validate(36, [[0], [18], evens, list(range(1, 36, 2))])
 d1 = automorphism_group(restrict(B, 18))  # on U = 2Z_36, relabeled Z_18
 d0 = automorphism_group(quotient(B, 2))  # on Z_36 / {0, 18}, relabeled Z_18
-H = perm_gen_wreath(d1, d0, 36, 18, 2)
+H = perm_gen_wreath(d1, d0, 2)
 section = PermGroup(9, [tuple(g[z] % 9 for z in range(9)) for g in d1.generators])
 print(f"\nS-ring over Z_36 with class sizes {[len(c) for c in B.classes]}")
 print(f"section group of Delta_1 on U/L = Z_9: order {section.order()} (9! = 362880)")

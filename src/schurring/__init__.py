@@ -12,9 +12,7 @@ from .arith import (
     Classification,
     Factorization,
     classify,
-    classify_families,
     factorize,
-    find_nonschur_split,
     omega,
     omega_star,
 )

@@ -2,11 +2,11 @@
 functions, and the two independent formulations of the classification of
 cyclic orders whose S-rings are all realizable from permutation groups.
 
-The classification has two faces.  `classify_families` matches an order
+The classification has two faces.  `_families_of` matches a factorization
 against five literal shapes (p^k, pq^k, 2pq^k, pqr, 2pqr with distinct
-primes, 2 allowed among them).  `find_nonschur_split` searches for a
-coprime decomposition n = n1 * n2 with omega_star(ni) >= 2 on both sides.
-An order satisfies exactly one of the two; `classify` asserts this.
+primes, 2 allowed among them).  `_split_of` searches it for a coprime
+n = n1 * n2 with omega_star(ni) >= 2 on both sides.  An order satisfies
+exactly one of the two; `classify`, the one entry, computes both and checks.
 """
 
 from __future__ import annotations
@@ -176,13 +176,8 @@ def _families_of(f: Factorization) -> frozenset[str]:
     return frozenset(tags)
 
 
-def classify_families(n: int) -> frozenset[str]:
-    """All of the five shapes that n matches literally (possibly none)."""
-    return _families_of(factorize(n))
-
-
 def _split_of(f: Factorization) -> Optional[tuple[int, int]]:
-    """Smallest-n1 coprime split with omega_star >= 2 on both sides."""
+    """The coprime split n1 < n2 with omega_star >= 2 on both sides and least n1, or None."""
     pps = [(p, p**k, k) for p, k in f.factors]
     s = len(pps)
     if s < 2:
@@ -203,15 +198,6 @@ def _split_of(f: Factorization) -> Optional[tuple[int, int]]:
             if best is None or lo < best[0]:
                 best = (lo, hi)
     return best
-
-
-def find_nonschur_split(n: int) -> Optional[tuple[int, int]]:
-    """Coprime pair (n1, n2), n1 < n2, with omega_star >= 2 on both sides.
-
-    Ties are broken by the smallest valid n1 so the output is deterministic.
-    Returns None iff no such split exists.
-    """
-    return _split_of(factorize(n))
 
 
 def classify(n: int) -> Classification:

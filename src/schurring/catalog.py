@@ -48,7 +48,7 @@ from .arith import classify, divisors
 from .construct import MultiplierGroup, _gen_wreath_labels, _tensor_labels, cyclotomic, rank2, units
 from .errors import CapExceeded, SchurRingError
 from .sring import SRing, _first_seen, _is_wreath, quotient, restrict, validate
-from .schurity import SchurityVerdict, check_search_degree, is_schurian
+from .schurity import DEFAULT_BUDGET, SchurityVerdict, check_search_degree, is_schurian
 
 DEFAULT_CAP = 72
 BRUTE_CAP = 13
@@ -266,7 +266,7 @@ def brute_force_enumerate(n: int) -> Catalog:
     return Catalog(n, tuple(_catalog_order(rings)))
 
 
-def census(n: int, cap: int = DEFAULT_CAP, budget: Optional[int] = None) -> CensusReport:
+def census(n: int, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Schurity verdict for every ring in the catalog of Z_n.
 
     Asserts the arithmetic classification: when n matches one of the five

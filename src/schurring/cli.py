@@ -20,7 +20,7 @@ from . import catalog as catalog_mod
 from .arith import classify
 from .construct import is_cyclotomic, witness_detailed
 from .errors import CapExceeded, SchurRingError, SearchBudgetExceeded
-from .schurity import check_search_degree, is_schurian
+from .schurity import DEFAULT_BUDGET, check_search_degree, is_schurian
 from .sring import SRing, is_dense, is_primitive, is_quasidense, radical, validate, wreath_decompositions
 
 EXIT_OK = 0
@@ -227,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("schurity", help="decide schurity of a ring document")
     s.add_argument("file")
-    s.add_argument("--budget", type=_budget_arg, default=None, help="search node budget")
+    s.add_argument("--budget", type=_budget_arg, default=DEFAULT_BUDGET, help="search node budget")
     s.set_defaults(func=cmd_schurity)
 
     e = sub.add_parser("enumerate", help="catalog of all S-rings over Z_n")
     e.add_argument("n", type=int)
     e.add_argument("--census", action="store_true", help="decide schurity of each ring")
     e.add_argument("--cap", type=int, default=catalog_mod.DEFAULT_CAP)
-    e.add_argument("--budget", type=_budget_arg, default=None, help="search node budget")
+    e.add_argument("--budget", type=_budget_arg, default=DEFAULT_BUDGET, help="search node budget")
     e.set_defaults(func=cmd_enumerate)
 
     for sp in (c, w, a, s, e):

@@ -54,9 +54,7 @@ def _multipliers(n: int, ms) -> list[tuple[int, ...]]:
 
 
 def units(n: int) -> list[int]:
-    if n == 1:
-        return [0]
-    return [m for m in range(1, n) if math.gcd(m, n) == 1]
+    return [m for m in range(n) if math.gcd(m, n) == 1]
 
 
 def k_m(m: int) -> MultiplierGroup:

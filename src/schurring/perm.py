@@ -321,14 +321,14 @@ def orbit_partition(labels) -> list[tuple[int, ...]]:
 # -- generalized wreath product of permutation groups -------------------
 
 
-def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
-                    n: int, u: int, l: int) -> PermGroup:
+def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup, l: int) -> PermGroup:
     """The canonical generalized wreath product on Z_n.
 
     delta1 acts on U (identified with Z_u), delta0 on G/L (identified
-    with Z_{n/l}); l | u | n.  Both must induce the same group on the
-    common section U/L (identified with Z_{u/l}); U_right and
-    (G/L)_right must be contained in the respective inputs.
+    with Z_{n/l}): u and n/l are the groups' degrees, and l | u | n.
+    Both must induce the same group on the common section U/L
+    (identified with Z_{u/l}); U_right and (G/L)_right must be contained
+    in the respective inputs.
 
     delta1 acts on U/L + U, and one Schreier-Sims pass builds its chain
     from a base that starts with every point of U/L, in order.  The first
@@ -341,10 +341,9 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup,
     delta0, whose per-coset components are those preimages, and (ii) the
     kernel's generators acting on the block U alone.
     """
+    u, n = delta1.degree, l * delta0.degree
     if min(l, u) < 1 or u % l or n % u:
         raise ValueError("need l | u | n")
-    if delta1.degree != u or delta0.degree != n // l:
-        raise ValueError("degrees must be u and n/l")
     ul = u // l
     nl = n // l
     nu = n // u

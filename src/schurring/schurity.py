@@ -123,11 +123,14 @@ The result depends only on the ring and the node budget, so it is
 memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
 A search that runs out of budget raises and is not memoized, and a call
 with another budget is another key, so the memo never hides an overrun.
-Each factor of a plain or tensor ring is decided with the caller's
-budget, under the key a direct call would use, so a factor decided
-before is a memo hit; a rank-2 ring and the assemblies charge no nodes.
-The budget so bounds every search, not the sum over a ring's factors.
-A negative budget is refused on entry, whichever case decides the ring.
+The default budget of every entry point is `DEFAULT_BUDGET` itself, and
+`_aut_data` has none, so omitting the budget and passing 10^8 share one
+entry.  Each factor of a plain or tensor ring is decided with the
+caller's budget, under the key a direct call would use, so a factor
+decided before is a memo hit; a rank-2 ring and the assemblies charge no
+nodes.  The budget so bounds every search, not the sum over a ring's
+factors.  A negative budget is refused on entry, whichever case decides
+the ring.
 
 Rings over more than `MAX_SEARCH_DEGREE` points are refused with
 CapExceeded before the search allocates its per-level labels.
@@ -205,11 +208,11 @@ def _relabel(keys: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=AUT_MEMO_SIZE)
-def _aut_data(A: SRing, budget: Optional[int] = None) -> _AutData:
+def _aut_data(A: SRing, budget: int) -> _AutData:
     """The data of aut(A): direct for rank 2, assembled from the factors
     of a plain ring or a coprime tensor product, searched otherwise."""
     check_search_degree(A.n)
-    if budget is not None and budget < 0:
+    if budget < 0:
         raise ValueError("search budget must be non-negative")
     n = A.n
     if A.rank == 2:
@@ -299,10 +302,9 @@ def _plain_wreath_gens(inner: _AutData, outer: _AutData, u: int, m: int) -> tupl
     return tuple(tuple(g.tolist()) for g in gens)
 
 
-def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
+def _search(A: SRing, budget: int) -> _AutData:
     """The automorphism search of the module docstring, on any ring of at
     most `MAX_SEARCH_DEGREE` points: `_aut_data` checks the degree first."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     n = A.n
     M = _color_matrix(np.array(A.class_of, dtype=np.int16))  # M[x, y] = color(x, y)
     idx = np.arange(n)
@@ -400,7 +402,7 @@ def _search(A: SRing, budget: Optional[int] = None) -> _AutData:
     return _AutData(order, tuple(orb.tolist()), functools.partial(tuple, gens))
 
 
-def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:
+def automorphism_group(A: SRing, budget: int = DEFAULT_BUDGET) -> PermGroup:
     """The full color automorphism group, as translations plus the
     generators of the stabilizer of 0."""
     data = _aut_data(A, budget)
@@ -409,11 +411,11 @@ def automorphism_group(A: SRing, budget: Optional[int] = None) -> PermGroup:
     return PermGroup(n, gens)
 
 
-def aut_order(A: SRing, budget: Optional[int] = None) -> int:
+def aut_order(A: SRing, budget: int = DEFAULT_BUDGET) -> int:
     return _aut_data(A, budget).order
 
 
-def is_schurian(A: SRing, budget: Optional[int] = None) -> SchurityVerdict:
+def is_schurian(A: SRing, budget: int = DEFAULT_BUDGET) -> SchurityVerdict:
     """Compare the 0-stabilizer orbits of aut(A) with the basic sets.
 
     Each stabilizer orbit is contained in a class (colors from 0 are
@@ -430,7 +432,7 @@ def is_schurian(A: SRing, budget: Optional[int] = None) -> SchurityVerdict:
     return SchurityVerdict(False, data.order, orbits, mismatch)
 
 
-def minimal_nonschurian_check(A: SRing, budget: Optional[int] = None) -> bool:
+def minimal_nonschurian_check(A: SRing, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff A is non-schurian but every proper section ring is schurian.
 
     Every section of a schurian S-ring is schurian (Evdokimov-Ponomarenko),

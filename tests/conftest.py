@@ -32,7 +32,7 @@ from schurring.catalog import enumerate_srings, unit_subgroups
 from schurring.construct import _gen_wreath_labels, _tensor_labels, cyclotomic, rank2
 from schurring.errors import NotAnAGroup
 from schurring.perm import identity, merge_orbits, orbit_partition
-from schurring.schurity import _aut_data, is_schurian
+from schurring.schurity import DEFAULT_BUDGET, _aut_data, is_schurian
 from schurring.sring import SRing, _first_seen, quotient, restrict
 
 
@@ -135,7 +135,7 @@ def is_normal_sring(A):
     multiplier by g(1).
     """
     n = A.n
-    return all(all(g[x] == g[1] * x % n for x in range(n)) for g in _aut_data(A).stabilizer_gens)
+    return all(all(g[x] == g[1] * x % n for x in range(n)) for g in _aut_data(A, DEFAULT_BUDGET).stabilizer_gens)
 
 
 def mult(p, q):

@@ -259,7 +259,7 @@ def test_criterion_10_perm_wreath_matches_definition():
         (sym2, translations(6), 6, 2, 1),
         (dihedral(6), PermGroup(3, sym_group_gens(3)), 6, 6, 2),
     ]:
-        G = perm_gen_wreath(delta1, delta0, n, u, l)
+        G = perm_gen_wreath(delta1, delta0, l)
         ok = ok and closure(n, G.generators) == brute_wreath_elements(
             delta1, delta0, n, u, l
         )
@@ -270,8 +270,7 @@ def test_criterion_10_perm_wreath_matches_definition():
         (cyclotomic(k_m(4)), cyclotomic(k_m(8)), 4, dihedral(4), dihedral(8)),
     ]:
         A = gen_wreath(A1, A2, m)
-        u, l = A1.n, A1.n // m
-        G = perm_gen_wreath(d1, d0, A.n, u, l)
+        G = perm_gen_wreath(d1, d0, A1.n // m)
         ok = ok and all(is_color_automorphism(A, g) for g in G.generators)
     check(10, "permutation wreath equals the definitional element set at "
           "degree <= 8 and lands inside the ring automorphisms", ok)

@@ -16,11 +16,9 @@ from schurring.arith import (
     Classification,
     Factorization,
     classify,
-    classify_families,
     divisors,
     equivalence_violations,
     factorize,
-    find_nonschur_split,
     is_prime,
     omega,
     omega_star,
@@ -83,33 +81,33 @@ def test_omega_star_shape_characterization():
 
 
 def test_classify_families_examples():
-    assert classify_families(60) == {TWO_PQR}
-    assert classify_families(72) == frozenset()
-    assert classify_families(7) == {PK, PQK}
-    assert classify_families(1) == {PK}
-    assert classify_families(30) == {PQR, TWO_PQK}
-    assert classify_families(36) == {TWO_PQK}
-    assert set(classify_families(2310)) == set()
+    assert classify(60).families == {TWO_PQR}
+    assert classify(72).families == frozenset()
+    assert classify(7).families == {PK, PQK}
+    assert classify(1).families == {PK}
+    assert classify(30).families == {PQR, TWO_PQK}
+    assert classify(36).families == {TWO_PQK}
+    assert set(classify(2310).families) == set()
 
 
 def test_classify_families_two_allowed_as_any_prime():
     # 24 = 3 * 2^3 matches pq^k with q = 2; 24 = 2 * (2 * ?) fails 2pqr
-    assert PQK in classify_families(24)
+    assert PQK in classify(24).families
     # 12 = 2 * (2 * 3) = 2pq^k with p = 2? no: n/2 = 6 = 2 * 3 = pq^1
-    assert TWO_PQK in classify_families(12)
+    assert TWO_PQK in classify(12).families
 
 
 def test_find_nonschur_split_examples():
-    assert find_nonschur_split(72) == (8, 9)
-    assert find_nonschur_split(60) is None
-    assert find_nonschur_split(144) == (9, 16)
-    assert find_nonschur_split(210) is None
-    assert find_nonschur_split(200) == (8, 25)
+    assert classify(72).nonschur_split == (8, 9)
+    assert classify(60).nonschur_split is None
+    assert classify(144).nonschur_split == (9, 16)
+    assert classify(210).nonschur_split is None
+    assert classify(200).nonschur_split == (8, 25)
 
 
 def test_find_nonschur_split_properties():
     for n in range(1, 3000):
-        split = find_nonschur_split(n)
+        split = classify(n).nonschur_split
         if split is None:
             continue
         n1, n2 = split

@@ -384,7 +384,7 @@ def test_is_normal_subgroup_examples():
 
 
 def test_perm_gen_wreath_contains_translations():
-    G = perm_gen_wreath(translations(2), translations(6), 6, 2, 1)
+    G = perm_gen_wreath(translations(2), translations(6), 1)
     shift = tuple((x + 1) % 6 for x in range(6))
     assert shift in G
     assert G.order() == 6
@@ -392,7 +392,7 @@ def test_perm_gen_wreath_contains_translations():
 
 def test_perm_gen_wreath_degree4():
     sym2 = PermGroup(2, sym_group_gens(2))
-    G = perm_gen_wreath(sym2, sym2, 4, 2, 2)
+    G = perm_gen_wreath(sym2, sym2, 2)
     assert G.order() == 8
     elements = closure(4, G.generators)
     # the full wreath product is exactly the color automorphisms of W4
@@ -408,14 +408,14 @@ def test_perm_gen_wreath_equals_brute_force_small_degrees():
         (dihedral(6), PermGroup(3, sym_group_gens(3)), 6, 6, 2),
     ]
     for delta1, delta0, n, u, l in cases:
-        G = perm_gen_wreath(delta1, delta0, n, u, l)
+        G = perm_gen_wreath(delta1, delta0, l)
         want = brute_wreath_elements(delta1, delta0, n, u, l)
         got = closure(n, G.generators)
         assert got == want
 
 
 def test_perm_gen_wreath_respects_coset_blocks():
-    G = perm_gen_wreath(dihedral(4), dihedral(4), 8, 4, 2)
+    G = perm_gen_wreath(dihedral(4), dihedral(4), 2)
     # every generator permutes the U-cosets (residues mod n/u = 2)
     for g in G.generators:
         images = {x % 2: g[x] % 2 for x in range(8)}
@@ -425,12 +425,12 @@ def test_perm_gen_wreath_respects_coset_blocks():
 def test_perm_gen_wreath_generators_are_color_automorphisms():
     A1 = cyclotomic(k_m(4))
     A = gen_wreath(A1, A1, 2)  # = W8
-    G = perm_gen_wreath(dihedral(4), dihedral(4), 8, 4, 2)
+    G = perm_gen_wreath(dihedral(4), dihedral(4), 2)
     for g in G.generators:
         assert is_color_automorphism(A, g)
     A6 = cyclotomic(k_m(6))
     B = gen_wreath(A6, A6, 3)  # over Z_12
-    H = perm_gen_wreath(dihedral(6), dihedral(6), 12, 6, 2)
+    H = perm_gen_wreath(dihedral(6), dihedral(6), 2)
     for g in H.generators:
         assert is_color_automorphism(B, g)
 
@@ -438,23 +438,23 @@ def test_perm_gen_wreath_generators_are_color_automorphisms():
 def test_perm_gen_wreath_section_mismatch():
     # delta1 cyclic on U/L = Z_3 but delta0 also negates the section
     with pytest.raises(SectionActionMismatch):
-        perm_gen_wreath(translations(3), dihedral(9), 9, 3, 1)
+        perm_gen_wreath(translations(3), dihedral(9), 1)
 
 
 def test_perm_gen_wreath_preconditions():
     with pytest.raises(ValueError):
-        perm_gen_wreath(translations(3), translations(6), 6, 3, 2)  # 2 ∤ 3
+        perm_gen_wreath(translations(3), translations(3), 2)  # 2 ∤ 3
     with pytest.raises(ValueError):
-        perm_gen_wreath(translations(4), translations(6), 6, 4, 1)  # 4 ∤ 6
-    for u, l in ((0, 1), (3, 0)):
+        perm_gen_wreath(translations(4), translations(6), 1)  # 4 ∤ 6
+    for delta1, l in ((PermGroup(0, []), 1), (translations(3), 0)):
         with pytest.raises(ValueError, match=r"need l \| u \| n"):
-            perm_gen_wreath(translations(3), translations(6), 6, u, l)
+            perm_gen_wreath(delta1, translations(6), l)
     with pytest.raises(ValueError):
         # delta1 must contain the translations of Z_u
-        perm_gen_wreath(PermGroup(2, []), translations(4), 4, 2, 1)
+        perm_gen_wreath(PermGroup(2, []), translations(4), 1)
     with pytest.raises(ValueError):
         # x -> x + 2 and x -> 3x on Z_4 respect the blocks of Z_4 / Z_2, but miss x -> x + 1
-        perm_gen_wreath(PermGroup(4, [(2, 3, 0, 1), (0, 3, 2, 1)]), translations(4), 8, 4, 2)
+        perm_gen_wreath(PermGroup(4, [(2, 3, 0, 1), (0, 3, 2, 1)]), translations(4), 2)
 
 
 def section_groups(A, u, l):
@@ -466,7 +466,7 @@ def test_perm_gen_wreath_with_a_symmetric_section():
     # and the wreath product of the section groups is the whole of aut(A)
     evens = [x for x in range(2, 36, 2) if x != 18]
     A = validate(36, [[0], [18], evens, list(range(1, 36, 2))])
-    G = perm_gen_wreath(*section_groups(A, 18, 2), 36, 18, 2)
+    G = perm_gen_wreath(*section_groups(A, 18, 2), 2)
     assert G.order() == aut_order(A) == 69_039_237_051_187_200
     assert all(is_color_automorphism(A, g) for g in G.generators)
 
@@ -481,7 +481,7 @@ def test_perm_gen_wreath_of_a_minimal_nonschurian_ring_mismatches():
         for u, l in decompositions:
             with pytest.raises(SectionActionMismatch,
                                match=r"\|delta0 image\| = \d+, \|delta1 image\| = \d+"):
-                perm_gen_wreath(*section_groups(w, u, l), w.n, u, l)
+                perm_gen_wreath(*section_groups(w, u, l), l)
 
 
 def test_perm_gen_wreath_section_images_of_equal_order_differ():
@@ -490,7 +490,7 @@ def test_perm_gen_wreath_section_images_of_equal_order_differ():
     delta1 = PermGroup(16, [translations(16).generators[0], tuple(3 * x % 16 for x in range(16))])
     delta0 = PermGroup(8, [translations(8).generators[0], tuple(5 * x % 8 for x in range(8))])
     with pytest.raises(SectionActionMismatch, match=r"= 16, \|delta1 image\| = 16"):
-        perm_gen_wreath(delta1, delta0, 16, 16, 2)
+        perm_gen_wreath(delta1, delta0, 2)
 
 
 def random_block_perm(rng, u, ul):
@@ -530,7 +530,7 @@ def test_perm_gen_wreath_kernel_and_image_make_delta1():
             delta0 = PermGroup(nl, [tuple((x + 1) % nl for x in range(nl))] + [
                 tuple(2 * t[x // 2] if x % 2 == 0 else x for x in range(nl)) for t in sections
             ])
-            G = perm_gen_wreath(delta1, delta0, 2 * u, u, l)
+            G = perm_gen_wreath(delta1, delta0, l)
             # the kernel generators act on U (the even points) alone and fix
             # every coset of L
             kernel = [k for k in (tuple(g[2 * a] // 2 for a in range(u)) for g in G.generators

@@ -1,5 +1,6 @@
 """Schurity decision, automorphism groups, normality, minimality."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -16,10 +17,12 @@ from conftest import (
 from schurring import schurity
 from schurring.arith import classify
 from schurring.catalog import census, enumerate_srings
+from schurring.cli import build_parser
 from schurring.construct import MultiplierGroup, cyclotomic, gen_wreath, k_m, rank2, tensor, units, witness
 from schurring.errors import CapExceeded, NotNonSchurian, SearchBudgetExceeded
 from schurring.perm import orbit_partition, translations
 from schurring.schurity import (
+    DEFAULT_BUDGET,
     MAX_SEARCH_DEGREE,
     _aut_data,
     _search,
@@ -103,7 +106,7 @@ def test_search_branches_where_the_read_off_failed(monkeypatch):
     frames = 0
     for A in witnesses:
         sizes.clear()
-        _search(A)
+        _search(A, DEFAULT_BUDGET)
         frames += sizes.count(2 * A.n)
     assert frames <= 450
 
@@ -134,7 +137,7 @@ def test_schurian_orbits_are_the_classes(catalogs):
                  if classify(n).nonschur_split]
     for A in [A for n in range(1, 37) for A in catalogs[n].rings] + witnesses:
         v = is_schurian(A)
-        assert v.stabilizer_orbits == tuple(orbit_partition(_aut_data(A).orbit)), A.classes
+        assert v.stabilizer_orbits == tuple(orbit_partition(_aut_data(A, DEFAULT_BUDGET).orbit)), A.classes
         assert (v.stabilizer_orbits == A.classes) == v.schurian, A.classes
 
 
@@ -313,7 +316,7 @@ def test_rank2_and_tensor_rings_match_the_bare_search(catalogs):
     assert len(rings) == 1068
     rings += [rank2(n) for n in range(2, 73)]
     for A in rings:
-        data, bare = _aut_data(A), _search(A)
+        data, bare = _aut_data(A, DEFAULT_BUDGET), _search(A, DEFAULT_BUDGET)
         assert (data.order, data.orbit) == (bare.order, bare.orbit), A.classes
         for g in data.stabilizer_gens:
             assert g[0] == 0 and _preserves_colors(A, g)
@@ -355,6 +358,30 @@ def test_plain_stalls_past_100_are_decided_from_their_factors():
             assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order
 
 
+def test_one_decision_per_ring_and_budget():
+    # omitting the budget and passing DEFAULT_BUDGET are one memo key, so
+    # the witness is searched once for all three calls
+    A = witness(8, 9)
+    _aut_data.cache_clear()
+    is_schurian(A)
+    aut_order(A, DEFAULT_BUDGET)
+    automorphism_group(A)
+    assert _aut_data.cache_info().misses == 1
+
+
+def test_budget_default_is_default_budget():
+    # one spelling of the default budget: the entry points and both CLI
+    # flags default to DEFAULT_BUDGET itself, and the memoized decision and
+    # the search take the budget with no default
+    for f in (automorphism_group, aut_order, is_schurian, minimal_nonschurian_check, census):
+        assert inspect.signature(f).parameters["budget"].default == DEFAULT_BUDGET, f.__name__
+    for f in (_aut_data, _search):
+        assert inspect.signature(f).parameters["budget"].default is inspect.Parameter.empty
+    parser = build_parser()
+    assert parser.parse_args(["schurity", "f"]).budget == DEFAULT_BUDGET
+    assert parser.parse_args(["enumerate", "5", "--census"]).budget == DEFAULT_BUDGET
+
+
 def test_search_degree_cap():
     # refused before the search allocates its n x n matrices or recurses
     A = rank2(MAX_SEARCH_DEGREE + 1)
@@ -369,7 +396,7 @@ def test_search_allocation_is_bounded():
     A = rank2(300)
     tracemalloc.start()
     try:
-        _search(A)
+        _search(A, DEFAULT_BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
