@@ -22,7 +22,6 @@ PQK = "pq^k"
 TWO_PQK = "2pq^k"
 PQR = "pqr"
 TWO_PQR = "2pqr"
-ALL_FAMILIES = (PK, PQK, TWO_PQK, PQR, TWO_PQR)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -49,7 +48,6 @@ class Classification:
     Exactly one of `families` (nonempty) and `nonschur_split` is present.
     """
 
-    n: int
     families: frozenset[str]
     nonschur_split: Optional[tuple[int, int]]
 
@@ -210,7 +208,7 @@ def classify(n: int) -> Classification:
             f"classification inconsistency at n={n}: "
             f"families={set(families)}, split={split}"
         )
-    return Classification(n, families, split)
+    return Classification(families, split)
 
 
 def equivalence_violations(limit: int) -> list[int]:

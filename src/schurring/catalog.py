@@ -56,7 +56,6 @@ BRUTE_CAP = 13
 
 @dataclass(frozen=True)
 class Catalog:
-    n: int
     rings: tuple[SRing, ...]
 
     @property
@@ -72,7 +71,6 @@ class CensusEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
-    n: int
     entries: tuple[CensusEntry, ...]
 
     @property
@@ -181,16 +179,16 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     for d in divisors(n):
         found: list[SRing] = []
 
-        def add(order: int, raw):
+        def add(raw):
             class_of = _first_seen(raw)
             if class_of not in ids:
                 ids[class_of] = len(ids)
-                found.append(SRing(order, class_of))
+                found.append(SRing(class_of))
 
         for K in unit_subgroups(d):
-            add(d, cyclotomic(K).class_of)
+            add(cyclotomic(K).class_of)
         if d >= 2:
-            add(d, rank2(d).class_of)
+            add(rank2(d).class_of)
         # tensor products over coprime factorizations
         for d1 in divisors(d):
             d2 = d // d1
@@ -198,7 +196,7 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 continue
             for A1 in per_divisor[d1]:
                 for A2 in per_divisor[d2]:
-                    add(*_tensor_labels(A1, A2))
+                    add(_tensor_labels(A1, A2))
         # generalized wreath products glued over a common section U/L of
         # order m, U of order n1 < d and L of order l = n1/m > 1
         for n1 in divisors(d)[1:-1]:
@@ -208,11 +206,10 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
                 for sid, left in by_section(quotient, _smaller_u, n1, l).items():
                     for A1 in left:
                         for A2 in right.get(sid, ()):
-                            add(*_gen_wreath_labels(A1, A2, m))
+                            add(_gen_wreath_labels(A1, A2, m))
         per_divisor[d] = found
 
-    rings = _catalog_order(per_divisor[n])
-    return Catalog(n, tuple(rings))
+    return Catalog(tuple(_catalog_order(per_divisor[n])))
 
 
 def _inverse_closed_partitions(n: int):
@@ -263,7 +260,7 @@ def brute_force_enumerate(n: int) -> Catalog:
             rings.add(validate(n, [[0]] + part))
         except SchurRingError:
             continue
-    return Catalog(n, tuple(_catalog_order(rings)))
+    return Catalog(tuple(_catalog_order(rings)))
 
 
 def census(n: int, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET) -> CensusReport:
@@ -280,9 +277,7 @@ def census(n: int, cap: int = DEFAULT_CAP, budget: int = DEFAULT_BUDGET) -> Cens
     if n > cap:
         raise CapExceeded(f"n={n} exceeds cap {cap}")
     check_search_degree(n)
-    report = CensusReport(
-        n, tuple(CensusEntry(A, is_schurian(A, budget)) for A in enumerate_srings(n, cap).rings)
-    )
+    report = CensusReport(tuple(CensusEntry(A, is_schurian(A, budget)) for A in enumerate_srings(n, cap).rings))
     cls = classify(n)
     first_bad = report.first_nonschurian
     if cls.is_schur and first_bad is not None:

@@ -38,8 +38,9 @@ class PermGroup:
     The chain is built lazily on first use, from the generators alone, by
     a deterministic incremental Schreier-Sims on numpy arrays (Seress,
     *Permutation Group Algorithms*, 2003, ch. 4).  Each level keeps its
-    base point, its basic orbit, and the coset representative of every
-    orbit point and its inverse as rows of a small-int array.  A new
+    base point and the coset representative of every point of its basic
+    orbit and its inverse as rows of a small-int array; the representatives'
+    column at the base point is the orbit itself.  A new
     strong generator extends an orbit in rounds that map the points just
     found by the generators and by every representative so far, so a
     long cycle takes logarithmically many rounds, not one per point.  A
@@ -71,7 +72,7 @@ class PermGroup:
         return levels
 
     def order(self) -> int:
-        return math.prod(len(lvl.orbit) for lvl in self._chain)
+        return math.prod(len(lvl.u) for lvl in self._chain)
 
     def __contains__(self, p) -> bool:
         p = tuple(p)
@@ -81,11 +82,12 @@ class PermGroup:
 
 
 class _Level:
-    """One level of a stabilizer chain: the base point, its orbit under
-    the level's strong generators (each stored with its inverse), and per
-    orbit point x (row pos[x]) a representative u with u[point] = x and
-    its inverse.  Row 0 is the identity, the representative of the base
-    point."""
+    """One level of a stabilizer chain: the base point, the level's strong
+    generators (each stored with its inverse), and per point x of the base
+    point's orbit under them (row pos[x]) a representative u with
+    u[point] = x and its inverse.  So the orbit is the column u[:, point],
+    in row order, and its size is len(u).  Row 0 is the identity, the
+    representative of the base point."""
 
     def __init__(self, point: int, n: int, dtype):
         self.point = point
@@ -95,7 +97,6 @@ class _Level:
         self.checked: list[int] = []
         # the bytes of every Schreier generator of this level that sifted
         self.sifted: set[bytes] = set()
-        self.orbit = np.array([point])
         self.pos = np.full(n, -1)
         self.pos[point] = 0
         self.u = np.arange(n, dtype=dtype)[None]
@@ -117,7 +118,7 @@ class _Level:
         self.checked.append(0)
         maps, maps_inv, start = s[None], sinv[None], 0
         while True:
-            img = maps[:, self.orbit[start:]]
+            img = maps[:, self.u[start:, self.point]]
             fresh = self.pos[img] < 0
             if not fresh.any():
                 return
@@ -126,9 +127,8 @@ class _Level:
             r, x = r[first], x[first] + start
             new_u = maps.take(r[:, None] * n + self.u[x])  # u_x, then r
             new_uinv = self.uinv.take(x[:, None] * n + maps_inv[r])  # r^-1, then u_x^-1
-            start = len(self.orbit)
+            start = len(self.u)
             self.pos[pts] = np.arange(start, start + len(pts))
-            self.orbit = np.concatenate([self.orbit, pts])
             self.u = np.concatenate([self.u, new_u])
             self.uinv = np.concatenate([self.uinv, new_uinv])
             maps = np.concatenate([np.array(self.gens), self.u[1:]])
@@ -180,10 +180,10 @@ def _schreier_residue(levels: list[_Level], i: int):
     lvl = levels[i]
     for k, s in enumerate(lvl.gens):
         size = SIFT_BATCH
-        while lvl.checked[k] < len(lvl.orbit):
+        while lvl.checked[k] < len(lvl.u):
             done = lvl.checked[k]
             stop = done + size
-            batch = _apply_uinv(lvl.uinv, lvl.pos[s[lvl.orbit[done:stop]]], s[lvl.u[done:stop]])
+            batch = _apply_uinv(lvl.uinv, lvl.pos[s[lvl.u[done:stop, lvl.point]]], s[lvl.u[done:stop]])
             new = _unsifted(batch, lvl.sifted)
             keep = list(new.values())
             hit = _sift(levels, i + 1, batch[keep], len(s))[1] if keep else None
@@ -192,7 +192,7 @@ def _schreier_residue(levels: list[_Level], i: int):
                 lvl.sifted.update(list(new)[:hit[0]])
                 return hit
             lvl.sifted.update(new)
-            lvl.checked[k] = min(stop, len(lvl.orbit))
+            lvl.checked[k] = min(stop, len(lvl.u))
             size *= 2
     return None
 
@@ -364,7 +364,7 @@ def perm_gen_wreath(delta1: PermGroup, delta0: PermGroup, l: int) -> PermGroup:
     dtype = np.min_scalar_type(ul + u - 1)
     levels = [_Level(z, ul + u, dtype) for z in range(ul)]
     _schreier_sims(levels, np.hstack([sections, ul + g1]), dtype)
-    order1 = math.prod(len(lvl.orbit) for lvl in levels[:ul])
+    order1 = math.prod(len(lvl.u) for lvl in levels[:ul])
     kernel = levels[ul].gens if len(levels) > ul else []
     shift = np.concatenate([np.arange(1, ul + 1) % ul, ul + np.arange(1, u + 1) % u])
     if _sift(levels, 0, shift[None].astype(dtype), ul + u)[1] is not None:

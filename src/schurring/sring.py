@@ -10,12 +10,13 @@ every pair of classes (X, Y) the convolution counts
 numbered by first appearance: class i is the i-th distinct label met
 from point 0 upward, which is exactly the i-th class by minimum element.
 Two labellings give the same vector iff they induce the same partition,
-so `==` and `hash` on (n, class_of) are the ring's identity.  The rank,
-the classes themselves (ascending, ordered by their minimum) and the
-A-group lattice `a_groups` are derived from the labels the first time
-they are read.  Every structural question below (the section maps
-`restrict` and `quotient`, primitivity, density, quasidensity, wreath
-decompositions, tensor splits) reads that one lattice.
+so `==` and `hash` on `class_of` are the ring's identity, and the order n
+is its length.  The rank, the classes themselves (ascending, ordered by
+their minimum) and the A-group lattice `a_groups` are derived from the
+labels the first time they are read.  Every structural question below
+(the section maps `restrict` and `quotient`, primitivity, density,
+quasidensity, wreath decompositions, tensor splits) reads that one
+lattice.
 
 `validate` checks a partition that comes from outside.  A partition that
 is an S-ring by theorem is not checked again: `restrict` and `quotient`
@@ -63,14 +64,18 @@ VALIDATE_BLOCK_CELLS = 2**20
 
 @dataclass(frozen=True)
 class SRing:
-    """An S-ring over Z_n, stored as its canonical class labels.  Construct
-    a partition that comes from outside via `validate`."""
+    """An S-ring over Z_n, stored as its canonical class labels alone: n
+    is their number.  Construct a partition that comes from outside via
+    `validate`."""
 
-    n: int
     class_of: tuple[int, ...]
 
-    # cached_property writes the instance __dict__, which slows later attribute
-    # reads in CPython 3.11: loops over points read n and class_of into locals
+    # not a cached_property: that writes the instance __dict__, which slows later
+    # attribute reads in CPython 3.11; loops over points read n and class_of into locals
+    @property
+    def n(self) -> int:
+        return len(self.class_of)
+
     @functools.cached_property
     def rank(self) -> int:
         return max(self.class_of) + 1
@@ -123,7 +128,7 @@ def validate(n: int, classes) -> SRing:
             if not 0 <= x < n or raw[x] >= 0:
                 raise NotAPartition(f"element {x} repeated or out of range")
             raw[x] = i
-    A = _from_labels(n, raw)
+    A = _from_labels(raw)
     canon = A.classes
     if canon[0] != (0,):
         raise ZeroClassNotSingleton("class of 0 must be exactly {0}")
@@ -179,22 +184,23 @@ def _first_seen(raw) -> tuple[int, ...]:
     return tuple(map(ids.__getitem__, raw))
 
 
-def _from_labels(n: int, raw) -> SRing:
-    """The SRing whose classes are the points of Z_n sharing a label in
-    `raw`, a partition that satisfies the axioms; nothing is checked."""
-    return SRing(n, _first_seen(raw))
+def _from_labels(raw) -> SRing:
+    """The SRing whose classes are the points of Z_n, n = len(raw), sharing
+    a label in `raw`, a partition that satisfies the axioms; nothing is
+    checked."""
+    return SRing(_first_seen(raw))
 
 
 def group_ring(n: int) -> SRing:
     """The full group ring: all classes are singletons."""
-    return _from_labels(n, range(n))
+    return _from_labels(range(n))
 
 
 def restrict(A: SRing, d: int) -> SRing:
     """A_H for the A-group H of order d, relabeled to Z_d via x -> x/(n/d)."""
     if d not in A.a_groups:
         raise NotAnAGroup(f"order {d} is not an A-group of {A!r}")
-    return _from_labels(d, A.class_of[::A.n // d])
+    return _from_labels(A.class_of[::A.n // d])
 
 
 def quotient(A: SRing, l: int) -> SRing:
@@ -205,7 +211,7 @@ def quotient(A: SRing, l: int) -> SRing:
     # images of classes coincide or are disjoint, and a class meets every
     # coset x + L of its image: so the classes meeting x + L are those with
     # x's image, and the least of them labels x
-    return _from_labels(m, [min(A.class_of[x::m]) for x in range(m)])
+    return _from_labels([min(A.class_of[x::m]) for x in range(m)])
 
 
 def radical_of_class(A: SRing, i: int) -> int:

@@ -63,22 +63,22 @@ def full_join(n):
     for d in divisors(n):
         found, triples = [], []
 
-        def add(order, raw):
+        def add(raw):
             class_of = _first_seen(raw)
             if class_of not in ids:
                 ids[class_of] = len(ids)
-                found.append(SRing(order, class_of))
+                found.append(SRing(class_of))
 
         for K in unit_subgroups(d):
-            add(d, cyclotomic(K).class_of)
+            add(cyclotomic(K).class_of)
         if d >= 2:
-            add(d, rank2(d).class_of)
+            add(rank2(d).class_of)
         for d1 in divisors(d):
             d2 = d // d1
             if 1 < d1 < d2 and math.gcd(d1, d2) == 1:
                 for A1 in per_divisor[d1]:
                     for A2 in per_divisor[d2]:
-                        add(*_tensor_labels(A1, A2))
+                        add(_tensor_labels(A1, A2))
         for n1 in divisors(d)[1:-1]:
             for m in divisors(n1)[:-1]:
                 right = by_section(restrict, d * m // n1, m)
@@ -86,7 +86,7 @@ def full_join(n):
                     for A1 in left:
                         for A2 in right.get(sid, ()):
                             triples.append((A1, A2, m))
-                            add(*_gen_wreath_labels(A1, A2, m))
+                            add(_gen_wreath_labels(A1, A2, m))
         per_divisor[d] = found
     return frozenset(per_divisor[n]), triples
 

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import project, subgroup_elements
 from schurring.arith import (
-    ALL_FAMILIES,
     PK,
     PQK,
     PQR,
@@ -135,7 +134,7 @@ def test_classify_mutual_exclusion_range():
         c = classify(n)
         assert isinstance(c, Classification)
         assert bool(c.families) != (c.nonschur_split is not None)
-        assert c.families <= set(ALL_FAMILIES)
+        assert c.families <= {PK, PQK, TWO_PQK, PQR, TWO_PQR}
 
 
 def test_equivalence_violations_small():

@@ -243,24 +243,23 @@ def chain_of(n, gens, prefix=()):
 
 def check_levels(levels, n):
     """The invariants of every level, trivial ones included:
-    representatives map the base point onto their orbit point, their
-    inverses invert them, `pos` numbers the orbit, the orbit is closed
-    under the level's generators, each stored with its inverse, and those
-    generators fix every earlier base point."""
+    the representatives are permutations, whose column at the base point
+    is the orbit, their inverses invert them, `pos` numbers the orbit, the
+    orbit is closed under the level's generators, each stored with its
+    inverse, and those generators fix every earlier base point."""
     ident = np.arange(n)
     for i, lvl in enumerate(levels):
-        size = len(lvl.orbit)
+        orbit, size = lvl.u[:, lvl.point], len(lvl.u)
         assert lvl.u.shape == lvl.uinv.shape == (size, n)
-        assert (lvl.u[:, lvl.point] == lvl.orbit).all()
         assert (np.sort(lvl.u, axis=1) == ident).all()
         assert (np.take_along_axis(lvl.uinv, lvl.u.astype(np.intp), axis=1) == ident).all()
         assert (lvl.u[0] == ident).all()
-        assert (lvl.pos[lvl.orbit] == np.arange(size)).all()
+        assert (lvl.pos[orbit] == np.arange(size)).all()
         assert (lvl.pos >= 0).sum() == size
         assert len(lvl.gens) == len(lvl.ginv) == len(lvl.checked)
         for g, ginv in zip(lvl.gens, lvl.ginv):
             assert (ginv[g] == ident).all()
-            assert (lvl.pos[g[lvl.orbit]] >= 0).all()
+            assert (lvl.pos[g[orbit]] >= 0).all()
             assert all(g[above.point] == above.point for above in levels[:i])
 
 
@@ -297,7 +296,7 @@ def chain_cases(rng):
 
 
 def chain_order(levels):
-    return math.prod(len(lvl.orbit) for lvl in levels)
+    return math.prod(len(lvl.u) for lvl in levels)
 
 
 def test_chain_invariants_on_random_groups_and_long_cycles():
@@ -337,7 +336,7 @@ def test_witness_chains_are_pinned():
         G = automorphism_group(witness(n1, n2))
         assert G.order() == math.prod(sizes)
         assert [lvl.point for lvl in G._chain] == base
-        assert [len(lvl.orbit) for lvl in G._chain] == sizes
+        assert [len(lvl.u) for lvl in G._chain] == sizes
 
 
 def test_sift_leaves_its_batch_unchanged():

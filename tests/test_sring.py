@@ -1,5 +1,7 @@
 """The S-ring data model: validation, sections, radicals, structure flags."""
 
+import dataclasses
+import inspect
 import math
 import random
 import tracemalloc
@@ -7,9 +9,11 @@ import tracemalloc
 import pytest
 
 from conftest import a_groups_by_scan, highest_classes, restrict_section, sections
-from schurring.arith import classify, is_prime
-from schurring.catalog import _inverse_closed_partitions, enumerate_srings
+from schurring.arith import Classification, classify, is_prime
+from schurring.catalog import Catalog, CensusReport, _inverse_closed_partitions, enumerate_srings
 from schurring.construct import (
+    _gen_wreath_labels,
+    _tensor_labels,
     cyclotomic,
     is_cyclotomic,
     k_m,
@@ -28,6 +32,7 @@ from schurring.errors import (
     SchurRingError,
     ZeroClassNotSingleton,
 )
+from schurring.perm import PermGroup
 from schurring.sring import (
     SRing,
     _from_labels,
@@ -120,7 +125,7 @@ def test_labels_numbered_by_first_appearance_are_canonical(catalogs):
         for A in catalogs[n].rings:
             names = rng.sample(range(4 * n), A.rank)  # an injective renaming
             raw = [names[c] for c in A.class_of]
-            fresh = _from_labels(n, raw)
+            fresh = _from_labels(raw)
             assert "classes" not in vars(fresh), A.class_of  # listed only when read
             # equal and hashed alike before and after its classes are read
             assert fresh == A and hash(fresh) == hash(A), A.class_of
@@ -135,6 +140,24 @@ def test_labels_numbered_by_first_appearance_are_canonical(catalogs):
             rng.shuffle(shuffled)
             revalidated = validate(n, shuffled)
             assert revalidated == A and hash(revalidated) == hash(A), A.class_of
+
+
+def test_each_value_is_stored_once(catalogs):
+    # a ring is its label vector, whose length is its order; a result keeps
+    # no echo of its input order; a chain level's orbit is the base column
+    # of its representatives
+    assert [f.name for f in dataclasses.fields(SRing)] == ["class_of"]
+    assert [f.name for f in dataclasses.fields(Catalog)] == ["rings"]
+    assert [f.name for f in dataclasses.fields(CensusReport)] == ["entries"]
+    assert [f.name for f in dataclasses.fields(Classification)] == ["families", "nonschur_split"]
+    assert list(inspect.signature(_from_labels).parameters) == ["raw"]
+    A = cyclotomic(k_m(5))
+    assert type(_tensor_labels(A, rank2(3))) is list and type(_gen_wreath_labels(A, A, 5)) is list
+    levels = PermGroup(6, [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)])._chain  # the dihedral group
+    assert len(levels) == 2 and all("orbit" not in vars(lvl) for lvl in levels)
+    for n in range(1, 37):
+        for A in catalogs[n].rings:
+            assert A.n == len(A.class_of) == n, A.class_of
 
 
 def test_validate_rejects_bad_partitions():
@@ -252,7 +275,7 @@ def test_a_groups_match_the_scan(catalogs):
     rings = [A for n in range(1, 73) for A in catalogs[n].rings] + _witness_rings()
     assert len(rings) == 8914 + 14
     for A in rings:
-        B = SRing(A.n, A.class_of)
+        B = SRing(A.class_of)
         assert list(B.a_groups) == a_groups_by_scan(A), A.class_of
         assert "classes" not in B.__dict__
 
