@@ -6,6 +6,12 @@ compose left-to-right: (p * q)(i) = q[p[i]].
 
 One Schreier-Sims routine builds the chains of `PermGroup` and of
 `perm_gen_wreath`; nothing in the library lists a group's elements.
+Every group the library builds for a ring contains the regular
+translations, and `automorphism_group` passes x -> x + 1 first.  A chain
+whose first generator is an n-cycle c gets level 0 in closed form, with
+the powers of c as its transversal, and each other generator's Schreier
+generators there repeat with a period dividing n, so only one period of
+them is formed.
 """
 
 from __future__ import annotations
@@ -49,6 +55,16 @@ class PermGroup:
     flat gather per deeper level for the rows whose representative there
     is not the identity.  A row that repeats an earlier row, or one that
     sifted at the level before, is not sifted again.
+
+    When the first generator c is an n-cycle, level 0 is not grown: its
+    orbit is 0, c(0), c^2(0), ... and the representative of c^k(0) is c^k,
+    both tables copied once from windows of that orbit written twice.  c's
+    own Schreier generators are the identity (u_x * c = u_{c(x)}), so none
+    is formed.  For another generator s, row k is sigma_k(s), the element
+    of c^k * s * <c> that fixes 0; these obey the cocycle rule
+    sigma_a(sigma_b(s)) = sigma_(a+b)(s), so once row p equals row 0 the
+    rows repeat with period p, p | n, and the rows from p on are not
+    formed: each copies a row that sifted or became a residue.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm]):
@@ -101,6 +117,8 @@ class _Level:
         self.pos[point] = 0
         self.u = np.arange(n, dtype=dtype)[None]
         self.uinv = self.u
+        # set when row k of u is c^k for the n-cycle c = gens[0] (`_cyclic_level`)
+        self.cyclic = False
 
     def add_gen(self, s: np.ndarray):
         """Add strong generator s and extend the orbit in rounds: s on
@@ -150,8 +168,16 @@ def _schreier_sims(levels: list[_Level], gens: Iterable, dtype) -> None:
 
     `levels` may hold trivial levels built in advance: a prescribed base
     prefix.  New levels only ever follow the last one, so the prefix
-    stays the first base points, in order.
+    stays the first base points, in order.  On an empty chain whose first
+    generator is an n-cycle, level 0 is built in closed form instead
+    (`_cyclic_level`).
     """
+    gens = list(gens)
+    if not levels and gens:
+        level = _cyclic_level(gens[0], dtype)
+        if level is not None:
+            levels.append(level)
+            gens = gens[1:]
     for g in gens:
         hit = _sift(levels, 0, np.array([g], dtype), len(g))[1]
         if hit is None:
@@ -160,6 +186,38 @@ def _schreier_sims(levels: list[_Level], gens: Iterable, dtype) -> None:
         while i >= 0:
             hit = _schreier_residue(levels, i)
             i = i - 1 if hit is None else _add_residue(levels, hit, i)
+
+
+def _cyclic_level(c, dtype) -> _Level | None:
+    """Level 0, based at 0, of the group that the n-cycle c generates, or
+    None if c is not an n-cycle on n >= 2 points.
+
+    The orbit is 0, c(0), c^2(0), ..., and row k of the transversal is
+    c^k, with inverse c^-k: c^k maps c^m(0) to c^(m+k)(0).  So in orbit
+    coordinates both tables are windows of the orbit written twice, one
+    stepping forward and one back along k, and each is copied once into
+    its columns.  c's Schreier generators u_x * c * u_{c(x)}^-1 are all
+    the identity, since u_x * c = u_{c(x)}: c is marked checked.  On
+    x -> x + 1 this is the level `_Level.add_gen` grows, row for row.
+    """
+    n = len(c)
+    orbit = [0]
+    for _ in range(n - 1):
+        orbit.append(int(c[orbit[-1]]))
+    if n < 2 or len(set(orbit)) < n:
+        return None
+    lvl = _Level(0, n, dtype)
+    o = np.array(orbit, dtype)
+    lvl.pos[o] = np.arange(n)
+    twice, w = np.concatenate((o, o)), o.itemsize
+    lvl.u = np.empty((n, n), dtype)
+    lvl.u[:, o] = np.ndarray((n, n), dtype, twice, 0, (w, w))  # [k, m] = c^(m+k)(0)
+    lvl.uinv = np.empty((n, n), dtype)
+    lvl.uinv[:, o] = np.ndarray((n, n), dtype, twice, n * w, (-w, w))  # [k, m] = c^(m-k)(0)
+    lvl.cyclic = True
+    lvl.add_gen(lvl.u[1].copy())
+    lvl.checked[0] = n
+    return lvl
 
 
 def _schreier_residue(levels: list[_Level], i: int):
@@ -176,7 +234,15 @@ def _schreier_residue(levels: list[_Level], i: int):
     levels below only grow, so a row that sifted once would sift again,
     and a copy sifts as its first copy does.  Each row sifts on its own,
     so the first row that fails, and with it every residue and the whole
-    chain, is the one a single batch of all the rows would give."""
+    chain, is the one a single batch of all the rows would give.
+
+    On a cyclic level (`_cyclic_level`) row k is sigma_k(s) = c^k * s *
+    c^-j, the one element of c^k * s * <c> that fixes the base point.  So
+    sigma_a(sigma_b(s)) = sigma_(a+b)(s), and once sigma_p(s) = sigma_0(s)
+    for some p > 0, row k + p copies row k for every k.  s's rows stop
+    at the first such p: each later row copies one before p, which either
+    sifted or became a residue that the levels below now hold, so by the
+    scan invariant it sifts."""
     lvl = levels[i]
     for k, s in enumerate(lvl.gens):
         size = SIFT_BATCH
@@ -184,6 +250,12 @@ def _schreier_residue(levels: list[_Level], i: int):
             done = lvl.checked[k]
             stop = done + size
             batch = _apply_uinv(lvl.uinv, lvl.pos[s[lvl.u[done:stop, lvl.point]]], s[lvl.u[done:stop]])
+            if lvl.cyclic:
+                # the rows equal to row 0, sigma_0(s) = s * u_{s(point)}^-1
+                again = (batch == lvl.uinv[lvl.pos[s[lvl.point]]][s]).all(axis=1)
+                again[0] &= done > 0  # row 0 itself is no repeat
+                if again.any():
+                    batch, stop = batch[:again.argmax()], len(lvl.u)
             new = _unsifted(batch, lvl.sifted)
             keep = list(new.values())
             hit = _sift(levels, i + 1, batch[keep], len(s))[1] if keep else None

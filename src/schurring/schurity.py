@@ -157,9 +157,9 @@ AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 
 # point, well below Python's default recursion limit of 1000.  Rank-2-like
 # levels finish in one frame.  The largest witness has n = 300.  Raising
 # the cap waits on a size bound for `PermGroup`: its Schreier-Sims on
-# Sym(60) takes about 0.7 s on a 2-core Xeon, and
-# `automorphism_group(rank2(n))` is Sym(n), which it builds from two
-# generators: `.order()` on rank2(40) takes about 0.2 s.
+# Sym(60) from a transposition and a 60-cycle takes 0.48-0.59 s on a
+# shared 2-core Xeon, and `automorphism_group(rank2(n))` is Sym(n), which
+# it builds from two generators: `.order()` on rank2(40) takes 0.10-0.13 s.
 MAX_SEARCH_DEGREE = 512
 
 

@@ -1,5 +1,6 @@
 """Permutation groups: chains, orbits, normality, the wreath product."""
 
+import hashlib
 import math
 import random
 
@@ -16,6 +17,8 @@ from conftest import (
     orbits_of_perms,
     sym_group_gens,
 )
+from schurring import perm
+from schurring.arith import classify
 from schurring.construct import cyclotomic, gen_wreath, k_m, witness
 from schurring.errors import SectionActionMismatch
 from schurring.perm import (
@@ -24,6 +27,7 @@ from schurring.perm import (
     merge_orbits,
     orbit_partition,
     _add_residue,
+    _cyclic_level,
     _Level,
     _schreier_sims,
     _sift,
@@ -337,6 +341,170 @@ def test_witness_chains_are_pinned():
         assert G.order() == math.prod(sizes)
         assert [lvl.point for lvl in G._chain] == base
         assert [len(lvl.u) for lvl in G._chain] == sizes
+
+
+WITNESS_ORDERS = (72, 120, 144, 168, 180, 200, 216, 225, 240, 252, 264, 280, 288, 300)
+
+
+@pytest.fixture(scope="module")
+def witness_chains():
+    """The chains of the automorphism groups of the 14 witness rings
+    72 <= n <= 300, built while `_unsifted` counts the Schreier rows
+    formed and the rows among them handed on to be sifted."""
+    groups = [automorphism_group(witness(*classify(n).nonschur_split)) for n in WITNESS_ORDERS]
+    counts = {"formed": 0, "sifted": 0}
+    unsifted = perm._unsifted
+
+    def counting(batch, sifted):
+        new = unsifted(batch, sifted)
+        counts["formed"] += len(batch)
+        counts["sifted"] += len(new)
+        return new
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perm, "_unsifted", counting)
+        chains = [G._chain for G in groups]
+    return chains, counts
+
+
+def test_witness_chains_are_bit_identical(witness_chains):
+    # one sha256 over every level of the 14 chains: base point, the
+    # representatives and their inverses, pos, and the strong generators
+    # with their inverses; taken from the doubling-round level 0 and the
+    # unabridged Schreier scan
+    h = hashlib.sha256()
+    for levels in witness_chains[0]:
+        for lvl in levels:
+            h.update(str(lvl.point).encode())
+            for a in (lvl.u, lvl.uinv, np.asarray(lvl.pos, np.int64), *lvl.gens, *lvl.ginv):
+                h.update(a.dtype.str.encode() + str(a.shape).encode() + a.tobytes())
+    assert h.hexdigest() == "5e4ce2b1447abf4f5a206b783be96dfca914269e127df5e83e621d30a70bf585"
+
+
+def test_witness_schreier_row_counts(witness_chains):
+    # level 0 in closed form forms none of the translation's Schreier
+    # generators, and each other generator's rows stop at their period:
+    # 16,483 rows formed and 1,349 sifted before both
+    assert witness_chains[1] == {"formed": 3389, "sifted": 1145}
+
+
+def random_n_cycle(rng, n):
+    """x -> x + 1 relabelled by a random bijection of the n points, with
+    the relabelling."""
+    label = rng.sample(range(n), n)
+    c = [0] * n
+    for x in range(n):
+        c[label[x]] = label[(x + 1) % n]
+    return tuple(c), label
+
+
+def test_cyclic_level_matches_the_doubling_rounds_on_the_shift():
+    for n in (2, 3, 7, 64, 300):
+        shift = translations(n).generators[0]
+        dtype = np.min_scalar_type(n - 1)
+        grown = _Level(0, n, dtype)
+        grown.add_gen(np.array(shift, dtype))
+        closed = _cyclic_level(shift, dtype)
+        assert closed.cyclic and closed.checked == [n]
+        for a, b in ((grown.u, closed.u), (grown.uinv, closed.uinv), (grown.pos, closed.pos),
+                     (grown.gens[0], closed.gens[0]), (grown.ginv[0], closed.ginv[0])):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+        assert closed.u.flags.c_contiguous and closed.uinv.flags.c_contiguous
+
+
+def test_cyclic_level_schreier_rows_are_periodic():
+    # row k of s is sigma_k(s) = c^k * s * c^-j; sigma_a(sigma_b(s)) =
+    # sigma_(a+b)(s), so the rows repeat with a period p | n, and the first
+    # k > 0 at which row 0 comes back is that period
+    rng = random.Random(23)
+    for n in (2, 6, 12, 30, 45):
+        c, label = random_n_cycle(rng, n)
+        lvl = _cyclic_level(c, np.min_scalar_type(n - 1))
+        for s in [random_perm(rng, n) for _ in range(6)] + [
+                tuple(label[a * label.index(x) % n] for x in range(n)) for a in range(1, n)
+                if math.gcd(a, n) == 1]:
+            s = np.array(s)
+            rows = lvl.uinv[lvl.pos[s[lvl.u[:, 0]]]][np.arange(n)[:, None], s[lvl.u]]
+            assert (rows[:, 0] == 0).all()
+            p = next(k for k in range(1, n + 1) if (rows[k % n] == rows[0]).all())
+            assert n % p == 0
+            assert (rows == rows[np.arange(n) % p]).all()
+
+
+def test_chain_on_a_cyclic_first_generator():
+    # an n-cycle other than x -> x + 1 first, then random extras: some are
+    # affine maps x -> ax in the cycle's coordinates, which keep the group
+    # small enough to list; the generic path, on a prescribed trivial level
+    # at 0, is the reference for the order and for membership
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        c, label = random_n_cycle(rng, n)
+        extras = []
+        for _ in range(rng.randrange(4)):
+            if rng.randrange(2):
+                a = rng.choice([a for a in range(1, n) if math.gcd(a, n) == 1] or [1])
+                extras.append(tuple(label[a * label.index(x) % n] for x in range(n)))
+            else:
+                extras.append(random_perm(rng, n))
+        gens = [c] + extras
+        levels = chain_of(n, gens)
+        assert levels[0].cyclic and levels[0].point == 0
+        check_chain(levels, n)
+        generic = chain_of(n, gens, (0,))
+        assert not generic[0].cyclic
+        order = chain_order(levels)
+        assert order == chain_order(generic)
+        if order <= 5000:
+            assert order == len(closure(n, gens))
+        G = PermGroup(n, gens)
+        for p in [random_word(rng, gens) for _ in range(10)] + [
+                tuple(rng.sample(range(n), n)) for _ in range(10)]:
+            in_generic = _sift(generic, 0, np.array([p], generic[0].u.dtype), n)[1] is None
+            assert (p in G) == in_generic
+
+
+def test_period_cut_keeps_the_whole_period():
+    # groups whose stabilizer needs the last Schreier row of a period: a
+    # scan that stops one row short of the period finds half the order;
+    # each group also runs relabelled, so that its n-cycle is not x -> x + 1
+    rng = random.Random(37)
+    for n, s, order in ((6, (2, 1, 3, 5, 4, 0), 48), (8, (6, 7, 4, 5, 2, 3, 0, 1), 32),
+                        (6, (0, 5, 1, 3, 2, 4), 48)):
+        shift = translations(n).generators[0]
+        label = rng.sample(range(n), n)
+        relabel = [label.index(x) for x in range(n)]
+        for gens in ([shift, s], [tuple(label[g[relabel[x]]] for x in range(n)) for g in (shift, s)]):
+            levels = chain_of(n, gens)
+            assert levels[0].cyclic
+            assert chain_order(levels) == len(closure(n, gens)) == order
+
+
+def test_chain_on_a_first_generator_that_is_not_an_n_cycle():
+    rng = random.Random(31)
+    for n, first in ((5, (1, 2, 3, 0, 4)), (6, (1, 0, 3, 4, 2, 5)), (7, (0, 2, 3, 4, 5, 6, 1)),
+                     (8, (1, 0, 3, 2, 5, 4, 7, 6)), (4, (0, 1, 2, 3))):
+        dtype = np.min_scalar_type(n - 1)
+        assert _cyclic_level(first, dtype) is None
+        gens = [first, random_perm(rng, n), translations(n).generators[0]]
+        levels = chain_of(n, gens)
+        assert not any(lvl.cyclic for lvl in levels)
+        check_chain(levels, n)
+        assert chain_order(levels) == len(closure(n, gens))
+
+
+def test_cyclic_level_edge_degrees():
+    # one point: the only permutation is the identity, which is no 1-cycle
+    # to build a level from; two points: the swap is the 2-cycle
+    assert _cyclic_level((0,), np.uint8) is None
+    assert chain_of(1, [(0,)]) == []
+    assert PermGroup(1, [(0,)]).order() == 1
+    levels = chain_of(2, [(1, 0)])
+    assert len(levels) == 1 and levels[0].cyclic
+    check_chain(levels, 2)
+    assert levels[0].u.tolist() == levels[0].uinv.tolist() == [[0, 1], [1, 0]]
+    G = PermGroup(2, [(1, 0)])
+    assert G.order() == 2 and (1, 0) in G and (0, 1) in G
 
 
 def test_sift_leaves_its_batch_unchanged():
