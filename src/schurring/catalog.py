@@ -137,7 +137,10 @@ def enumerate_srings(n: int, cap: int = DEFAULT_CAP) -> Catalog:
     S-rings by theorem.  Sections are S-rings of smaller order, so each
     one (`quotient`/`restrict`, once per ring and subgroup order) is
     looked up by its labels among the catalog rings; a miss raises
-    KeyError.  The memos, local to this call, hold only ring ids.
+    KeyError.  The memos are local to this call: `ids` maps the labels of
+    every catalog ring built so far to its id, and `groups` holds, per
+    section map and subgroup order, the rings grouped by their section's
+    id.
 
     Each product is glued only at a reduced decomposition (u, l): least
     in u for its l, largest in l for its u.  Every wreath product A has

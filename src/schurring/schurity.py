@@ -61,8 +61,9 @@ one frame.  The budget counts nodes:
 
 Leung and Man show that every circulant S-ring is rank 2, cyclotomic,
 a tensor product or a generalized wreath product.  Three kinds of ring
-are decided without a search of their own.  `_aut_data` checks the
-degree and the budget, then takes the first case that applies:
+are decided without a search of their own.  `_decide`, which
+`_aut_data` calls on a memo miss, checks the degree and the budget, then
+takes the first case that applies:
 
 1. rank 2: aut(A) is Sym(Z_n), so its 0-stabilizer is Sym({1..n-1}),
    of order (n-1)!, with one non-zero orbit, generated by the
@@ -81,7 +82,7 @@ A is plain over an A-group U of order u when every class outside U is
 a union of U-cosets (`sring._is_wreath` with l = u).  Then "x - y in U"
 is a union of colors, so every color automorphism permutes the
 U-cosets, and the color between two cosets depends only on the pair of
-cosets: aut(A) is exactly aut(A_U) wr aut(A_{G/U}).  `_aut_data` takes
+cosets: aut(A) is exactly aut(A_U) wr aut(A_{G/U}).  `_decide` takes
 the least proper A-group order 1 < u < n over which A is plain, decides
 A_U = `restrict(A, u)` and A_{G/U} = `quotient(A, u)` by `_aut_data` in
 turn, and assembles, with m = n/u, so that U is the multiples of m and
@@ -101,7 +102,7 @@ A is a coprime tensor product when A = A_D (x) A_E for A-groups D and E
 of coprime orders d < e = n/d (`sring.tensor_split`).  Then both coset
 partitions, "x - y in D" and "x - y in E", are unions of colors, and the
 color of (x, y) is the pair of the colors of its two projections, so
-aut(A) is exactly aut(A_D) x aut(A_E) acting on Z_d x Z_e.  `_aut_data`
+aut(A) is exactly aut(A_D) x aut(A_E) acting on Z_d x Z_e.  `_decide`
 takes the least such d, decides `restrict(A, d)` and `restrict(A, e)`
 by `_aut_data` in turn, and assembles by CRT, writing x = e*a + d*b with
 a = x/e mod d and b = x/d mod e:
@@ -120,8 +121,14 @@ builds its own from its factors' generators, read then.  So a census
 builds none, and building them never searches and charges no nodes.
 
 The result depends only on the ring and the node budget, so it is
-memoized on that pair in a bounded LRU memo (`AUT_MEMO_SIZE` entries).
-A search that runs out of budget raises and is not memoized, and a call
+memoized on the pair of the ring's labels `class_of` (its identity) and
+the budget, in a bounded LRU dict of `AUT_MEMO_SIZE` entries.  A miss
+decides the caller's own ring, so the rank and A-groups it has cached are
+reused, and only the `_AutData` is stored.  That holds orders, orbit
+labels, search generators and its factors' `_AutData`, never a ring, so
+a ring and the classes and A-groups it caches die with their caller: a
+sweep of one order after another keeps labels and decisions only.  A
+search that runs out of budget raises and is not memoized, and a call
 with another budget is another key, so the memo never hides an overrun.
 The default budget of every entry point is `DEFAULT_BUDGET` itself, and
 `_aut_data` has none, so omitting the budget and passing 10^8 share one
@@ -150,7 +157,7 @@ from .perm import PermGroup, merge_orbits, orbit_partition, translations
 from .sring import SRing, _color_matrix, _is_wreath, quotient, restrict, tensor_split
 
 DEFAULT_BUDGET = 10**8
-AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 rings
+AUT_MEMO_SIZE = 4096  # decided (labels, budget) keys; census(n <= 36) has 1,275 rings
 # The n^2 part of the search is the per-level label vectors, about 2 MiB
 # at n = 512; the color matrix M is a strided view of 2n int16 labels.  A
 # DFS frame holds two n-vectors, and the depth is at most one frame per
@@ -161,6 +168,9 @@ AUT_MEMO_SIZE = 4096  # decided (ring, budget) pairs; census(n <= 36) has 1,275 
 # shared 2-core Xeon, and `automorphism_group(rank2(n))` is Sym(n), which
 # it builds from two generators: `.order()` on rank2(40) takes 0.10-0.13 s.
 MAX_SEARCH_DEGREE = 512
+# mover rows in the first block a read-off map is checked on; a census frame
+# moves about 13 points
+READ_OFF_BLOCK = 32
 
 
 def check_search_degree(n: int) -> None:
@@ -207,8 +217,26 @@ def _relabel(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=AUT_MEMO_SIZE)
+# (A.class_of, budget) -> _AutData, least recently used first
+_aut_memo: dict[tuple[tuple[int, ...], int], _AutData] = {}
+
+
 def _aut_data(A: SRing, budget: int) -> _AutData:
+    """The data of aut(A), memoized on A's labels and the budget: a hit
+    moves its entry to the end, a miss decides A itself and stores only the
+    `_AutData`, and past `AUT_MEMO_SIZE` entries the least recently used
+    one goes."""
+    key = (A.class_of, budget)
+    data = _aut_memo.pop(key, None)
+    if data is None:
+        data = _decide(A, budget)
+        if len(_aut_memo) >= AUT_MEMO_SIZE:
+            del _aut_memo[next(iter(_aut_memo))]
+    _aut_memo[key] = data
+    return data
+
+
+def _decide(A: SRing, budget: int) -> _AutData:
     """The data of aut(A): direct for rank 2, assembled from the factors
     of a plain ring or a coprime tensor product, searched otherwise."""
     check_search_degree(A.n)
@@ -304,7 +332,7 @@ def _plain_wreath_gens(inner: _AutData, outer: _AutData, u: int, m: int) -> tupl
 
 def _search(A: SRing, budget: int) -> _AutData:
     """The automorphism search of the module docstring, on any ring of at
-    most `MAX_SEARCH_DEGREE` points: `_aut_data` checks the degree first."""
+    most `MAX_SEARCH_DEGREE` points: `_decide` checks the degree first."""
     n = A.n
     M = _color_matrix(np.array(A.class_of, dtype=np.int16))  # M[x, y] = color(x, y)
     idx = np.arange(n)
@@ -341,6 +369,13 @@ def _search(A: SRing, budget: int) -> _AutData:
         not a singleton, else the lowest-numbered point whose cell is not
         a singleton.  Every g maps that point to one of those targets, so
         no g is missed.
+
+        The movers' rows are checked in increasing order, in blocks of
+        `READ_OFF_BLOCK`, twice that, four times that, ... rows.  A failed
+        check stops at the first block that holds its branch point (when
+        every cell is a singleton, at the first broken row), so the rows
+        behind it are never gathered; the branch point is the one a check
+        of all the rows would give.  An accepted map checks every row.
         """
         sizes = np.bincount(src)
         if not np.array_equal(sizes, np.bincount(dst)):
@@ -351,15 +386,28 @@ def _search(A: SRing, budget: int) -> _AutData:
         full[movers[src[movers].argsort(kind="stable")]] = movers[dst[movers].argsort(kind="stable")]
         # Pairs of fixed points keep their color, and for a fixed a and a
         # moved b the color of (a, b) is the negation class of that of
-        # (b, a), so the rows of the moved points decide.
-        bad = (M[full[movers]][:, full] != M[movers]).any(axis=1)
-        if not bad.any():
-            return full
-        if sizes.max() == 1:
-            return None
+        # (b, a), so the rows of the moved points decide.  They are checked
+        # in increasing order, a block at a time, up to the branch point.
         shared = sizes[src] > 1  # points whose cell is not a singleton
-        wrong = movers[bad & shared[movers]]
-        x = int(wrong[0]) if wrong.size else int(shared.argmax())
+        broken = False
+        start, size = 0, READ_OFF_BLOCK
+        while start < movers.size:
+            rows = movers[start:start + size]
+            bad = (M[full[rows]][:, full] != M[rows]).any(axis=1)
+            if bad.any():
+                if not shared.any():
+                    return None
+                broken = True
+                wrong = rows[bad & shared[rows]]
+                if wrong.size:
+                    x = int(wrong[0])
+                    break
+            start += size
+            size *= 2
+        else:
+            if not broken:
+                return full
+            x = int(shared.argmax())
         cell = src[x]
         for y in (dst == cell).nonzero()[0].tolist():
             charge(1)

@@ -1,8 +1,10 @@
 """Schurity decision, automorphism groups, normality, minimality."""
 
+import gc
 import inspect
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -358,15 +360,62 @@ def test_plain_stalls_past_100_are_decided_from_their_factors():
             assert automorphism_group(A, budget).order() == aut_order(A, budget) == data.order
 
 
-def test_one_decision_per_ring_and_budget():
-    # omitting the budget and passing DEFAULT_BUDGET are one memo key, so
-    # the witness is searched once for all three calls
-    A = witness(8, 9)
-    _aut_data.cache_clear()
-    is_schurian(A)
-    aut_order(A, DEFAULT_BUDGET)
-    automorphism_group(A)
-    assert _aut_data.cache_info().misses == 1
+def test_one_decision_per_ring_and_budget(monkeypatch):
+    # omitting the budget and passing DEFAULT_BUDGET are one memo key, and so
+    # are two equal rings, since the memo reads the labels: the witness is
+    # searched once for all these calls
+    searches = []
+    search = schurity._search
+
+    def counted(A, budget):
+        searches.append(budget)
+        return search(A, budget)
+
+    monkeypatch.setattr(schurity, "_search", counted)
+    monkeypatch.setattr(schurity, "_aut_memo", {})
+    A, B = witness(8, 9), witness(8, 9)
+    assert A == B and A is not B
+    for C in (A, B):
+        is_schurian(C)
+        aut_order(C, DEFAULT_BUDGET)
+        automorphism_group(C)
+    assert searches == [DEFAULT_BUDGET]
+
+
+def test_no_ring_outlives_its_caller():
+    # the memo keeps labels and decisions only: once the caller drops its
+    # rings, none of them, nor a factor ring decided on the way, is alive
+    rings = list(enumerate_srings(24).rings) + [witness(8, 9)]
+    assert len(rings) == 173
+    for A in rings:
+        is_schurian(A)
+        aut_order(A)
+        automorphism_group(A).order()
+    refs = [weakref.ref(A) for A in rings]
+    del rings, A
+    gc.collect()
+    assert sum(r() is not None for r in refs) == 0
+
+
+def test_aut_memo_is_a_bounded_lru(monkeypatch):
+    # rank-2 rings are decided without factors, so each read is one entry
+    monkeypatch.setattr(schurity, "AUT_MEMO_SIZE", 3)
+    monkeypatch.setattr(schurity, "_aut_memo", {})
+    memo = schurity._aut_memo
+
+    def key(n):
+        return rank2(n).class_of, DEFAULT_BUDGET
+
+    first = schurity._aut_data(rank2(2), DEFAULT_BUDGET)
+    for n in range(3, 9):
+        aut_order(rank2(n))
+        # a hit returns the stored decision and becomes the most recent entry
+        assert schurity._aut_data(rank2(2), DEFAULT_BUDGET) is first
+        assert list(memo) == [key(k) for k in range(max(3, n - 1), n + 1)] + [key(2)]
+    # a search that overruns its budget raises before anything is stored
+    with pytest.raises(SearchBudgetExceeded):
+        aut_order(witness(8, 9), 1)
+    assert list(memo) == [key(7), key(8), key(2)]
 
 
 def test_budget_default_is_default_budget():
@@ -388,6 +437,19 @@ def test_search_degree_cap():
     for decide in (is_schurian, aut_order, automorphism_group):
         with pytest.raises(CapExceeded):
             decide(A)
+
+
+def test_read_off_check_stops_at_the_branch_point():
+    # a failed read-off gathers the mover rows up to its branch point only,
+    # not every row: 507 KiB where checking every row peaked at 695 KiB
+    A = witness(*classify(264).nonschur_split)
+    tracemalloc.start()
+    try:
+        _search(A, DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 2**10
 
 
 def test_search_allocation_is_bounded():
