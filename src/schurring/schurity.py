@@ -386,8 +386,7 @@ def _search(A: SRing, budget: int) -> _AutData:
         full[movers[src[movers].argsort(kind="stable")]] = movers[dst[movers].argsort(kind="stable")]
         # Pairs of fixed points keep their color, and for a fixed a and a
         # moved b the color of (a, b) is the negation class of that of
-        # (b, a), so the rows of the moved points decide.  They are checked
-        # in increasing order, a block at a time, up to the branch point.
+        # (b, a), so the rows of the moved points decide.
         shared = sizes[src] > 1  # points whose cell is not a singleton
         broken = False
         start, size = 0, READ_OFF_BLOCK
